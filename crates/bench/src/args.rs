@@ -1,97 +1,44 @@
-//! Minimal command-line parsing for the experiment binaries.
+//! Command-line parsing for the experiment binaries.
 //!
-//! Every regenerator accepts the same flags:
+//! Every regenerator accepts the same flags: its own three —
 //!
-//! * `--scale tiny|bench|x<FACTOR>` — dataset scale (default `bench`).
-//! * `--nodes N` — override the node count where it makes sense.
-//! * `--m N` — minimizer length override.
-//! * `--seed N` — dataset seed override.
-//! * `--gpu-direct` — enable GPUDirect staging.
-//! * `--round-limit BYTES` — memory-bounded exchange rounds (§III-A).
-//! * `--overlap-rounds` — overlap count kernels with the next round's wire.
-//! * `--exchange-algo direct|hierarchical` — exchange routing (DESIGN.md §10).
-//! * `--wire-compress` — supermer wire codec (varint/delta + 2-bit bases).
-//! * `--fault-seed N` / `--fault-spec k=v,...` — deterministic network
-//!   fault injection with driver-side retry (DESIGN.md §7).
-//! * `--mem-seed N` / `--mem-spec k=v,...` — deterministic memory
-//!   pressure with regrow/spill recovery (DESIGN.md §8).
-//! * `--rank-seed N` / `--rank-spec k=v,...` — deterministic rank-level
-//!   failure with replay recovery (DESIGN.md §11).
-//! * `--checkpoint-rounds N` / `--rescale ROUND:WORLD,...` — checkpoint
-//!   cadence bounding replay, and elastic world rescale (DESIGN.md §11).
-//! * `--table-safety F` — count-table sizing safety factor.
-//! * `--device-hbm BYTES` — simulated device memory budget override.
+//! * `--scale tiny|bench|x<FACTOR>` — dataset scale (default `bench`),
+//! * `--seed N` — dataset seed override,
+//! * `--nodes N` — node count, where the figure does not sweep it —
+//!
+//! plus every run flag `dedukt count` takes except `--mode` (each figure
+//! picks its own counters) and the output flags. The run flags are
+//! parsed by [`RunConfig::apply_flag`] into a template every run of the
+//! figure starts from. A figure that sweeps a field (the minimizer
+//! length, the exchange route, the round cap, k) runs only the value a
+//! flag set instead ([`ExperimentArgs::given`]).
 
+use dedukt_core::flags::{parse_nodes, run_flags_usage};
+use dedukt_core::{Mode, RunConfig};
 use dedukt_dna::ScalePreset;
 
-/// Parsed common flags.
+/// Parsed experiment flags.
 #[derive(Clone, Debug)]
 pub struct ExperimentArgs {
     /// Dataset scale preset.
     pub scale: ScalePreset,
-    /// Node-count override.
-    pub nodes: Option<usize>,
-    /// Minimizer-length override.
-    pub m: Option<usize>,
     /// Dataset seed override.
     pub seed: Option<u64>,
-    /// Use GPUDirect in the GPU pipelines.
-    pub gpu_direct: bool,
-    /// Per-round send cap in bytes (memory-bounded rounds, §III-A).
-    pub round_limit: Option<u64>,
-    /// Overlap count kernels with the next round's exchange.
-    pub overlap_rounds: bool,
-    /// Exchange routing override (`--exchange-algo direct|hierarchical`).
-    pub exchange_algo: Option<dedukt_net::cost::ExchangeAlgo>,
-    /// Ship supermer buckets through the wire codec (`--wire-compress`).
-    pub wire_compress: bool,
-    /// Fault-injection seed (activates faults even without a spec).
-    pub fault_seed: Option<u64>,
-    /// Fault-injection spec string, `key=value` comma list (activates
-    /// faults with seed 0 even without `--fault-seed`).
-    pub fault_spec: Option<String>,
-    /// Memory-pressure seed (activates pressure even without a spec).
-    pub mem_seed: Option<u64>,
-    /// Memory-pressure spec string, `key=value` comma list (activates
-    /// pressure with seed 0 even without `--mem-seed`).
-    pub mem_spec: Option<String>,
-    /// Rank-failure seed (activates the plan even without a spec).
-    pub rank_seed: Option<u64>,
-    /// Rank-failure spec string, `key=value` comma list (activates the
-    /// plan with seed 0 even without `--rank-seed`).
-    pub rank_spec: Option<String>,
-    /// Checkpoint cadence in rounds, bounding death replay.
-    pub checkpoint_rounds: Option<u64>,
-    /// Elastic rescale schedule, `(round, world)` pairs.
-    pub rescale: Vec<(u64, usize)>,
-    /// Count-table sizing safety factor override.
-    pub table_safety: Option<f64>,
-    /// Simulated device memory budget override, in bytes.
-    pub device_hbm: Option<u64>,
+    /// Node-count override.
+    pub nodes: Option<usize>,
+    /// The run flags, applied to a paper-default config; its mode and
+    /// node count are placeholders each run replaces
+    /// ([`ExperimentArgs::config`]).
+    pub template: RunConfig,
 }
 
 impl Default for ExperimentArgs {
     fn default() -> Self {
         ExperimentArgs {
             scale: ScalePreset::Bench,
-            nodes: None,
-            m: None,
             seed: None,
-            gpu_direct: false,
-            round_limit: None,
-            overlap_rounds: false,
-            exchange_algo: None,
-            wire_compress: false,
-            fault_seed: None,
-            fault_spec: None,
-            mem_seed: None,
-            mem_spec: None,
-            rank_seed: None,
-            rank_spec: None,
-            checkpoint_rounds: None,
-            rescale: Vec::new(),
-            table_safety: None,
-            device_hbm: None,
+            nodes: None,
+            template: RunConfig::new(Mode::GpuSupermer, 1),
         }
     }
 }
@@ -99,23 +46,7 @@ impl Default for ExperimentArgs {
 impl ExperimentArgs {
     /// Parses `std::env::args`, exiting with a usage message on error.
     pub fn parse() -> ExperimentArgs {
-        match Self::try_parse(std::env::args().skip(1)) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!(
-                    "usage: <bin> [--scale tiny|bench|xFACTOR] [--nodes N] [--m N] [--seed N] \
-                     [--gpu-direct] [--round-limit BYTES] [--overlap-rounds] \
-                     [--exchange-algo direct|hierarchical] [--wire-compress] \
-                     [--fault-seed N] [--fault-spec k=v,...] \
-                     [--mem-seed N] [--mem-spec k=v,...] \
-                     [--rank-seed N] [--rank-spec k=v,...] \
-                     [--checkpoint-rounds N] [--rescale ROUND:WORLD,...] \
-                     [--table-safety F] [--device-hbm BYTES]"
-                );
-                std::process::exit(2);
-            }
-        }
+        Self::try_parse(std::env::args().skip(1)).unwrap_or_else(|e| usage_error("<bin>", &e))
     }
 
     /// Parses from an explicit iterator (testable).
@@ -123,125 +54,46 @@ impl ExperimentArgs {
         let mut out = ExperimentArgs::default();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
+            let mut value = || it.next().ok_or(format!("{arg} needs a value"));
             match arg.as_str() {
-                "--scale" => {
-                    let v = it.next().ok_or("--scale needs a value")?;
-                    out.scale = match v.as_str() {
-                        "tiny" => ScalePreset::Tiny,
-                        "bench" => ScalePreset::Bench,
-                        s if s.starts_with('x') => {
-                            let f: f64 = s[1..]
-                                .parse()
-                                .map_err(|_| format!("bad scale factor {s:?}"))?;
-                            if f <= 0.0 {
-                                return Err("scale factor must be positive".into());
-                            }
-                            ScalePreset::Custom(f)
-                        }
-                        other => return Err(format!("unknown scale {other:?}")),
-                    };
-                }
-                "--nodes" => {
-                    let v = it.next().ok_or("--nodes needs a value")?;
-                    let n: usize = v.parse().map_err(|_| format!("bad node count {v:?}"))?;
-                    if n == 0 {
-                        return Err("--nodes must be positive".into());
-                    }
-                    out.nodes = Some(n);
-                }
-                "--m" => {
-                    let v = it.next().ok_or("--m needs a value")?;
-                    out.m = Some(
-                        v.parse()
-                            .map_err(|_| format!("bad minimizer length {v:?}"))?,
-                    );
-                }
+                "--scale" => out.scale = ScalePreset::parse(&value()?)?,
                 "--seed" => {
-                    let v = it.next().ok_or("--seed needs a value")?;
-                    out.seed = Some(v.parse().map_err(|_| format!("bad seed {v:?}"))?);
+                    let v = value()?;
+                    out.seed = Some(v.parse().map_err(|_| format!("--seed: bad value {v:?}"))?);
                 }
-                "--gpu-direct" => out.gpu_direct = true,
-                "--round-limit" => {
-                    let v = it.next().ok_or("--round-limit needs a value")?;
-                    let b: u64 = v.parse().map_err(|_| format!("bad round limit {v:?}"))?;
-                    if b == 0 {
-                        return Err("--round-limit must be positive".into());
-                    }
-                    out.round_limit = Some(b);
-                }
-                "--overlap-rounds" => out.overlap_rounds = true,
-                "--exchange-algo" => {
-                    let v = it.next().ok_or("--exchange-algo needs a value")?;
-                    out.exchange_algo = Some(dedukt_net::ExchangeRoute::parse(&v)?.algo());
-                }
-                "--wire-compress" => out.wire_compress = true,
-                "--fault-seed" => {
-                    let v = it.next().ok_or("--fault-seed needs a value")?;
-                    out.fault_seed = Some(v.parse().map_err(|_| format!("bad fault seed {v:?}"))?);
-                }
-                "--fault-spec" => {
-                    let v = it.next().ok_or("--fault-spec needs a value")?;
-                    // Parse eagerly so a typo fails at the flag, not mid-run.
-                    dedukt_net::FaultSpec::parse(&v)?;
-                    out.fault_spec = Some(v);
-                }
-                "--mem-seed" => {
-                    let v = it.next().ok_or("--mem-seed needs a value")?;
-                    out.mem_seed = Some(v.parse().map_err(|_| format!("bad mem seed {v:?}"))?);
-                }
-                "--mem-spec" => {
-                    let v = it.next().ok_or("--mem-spec needs a value")?;
-                    dedukt_gpu::MemSpec::parse(&v)?;
-                    out.mem_spec = Some(v);
-                }
-                "--rank-seed" => {
-                    let v = it.next().ok_or("--rank-seed needs a value")?;
-                    out.rank_seed = Some(v.parse().map_err(|_| format!("bad rank seed {v:?}"))?);
-                }
-                "--rank-spec" => {
-                    let v = it.next().ok_or("--rank-spec needs a value")?;
-                    dedukt_net::RankSpec::parse(&v)?;
-                    out.rank_spec = Some(v);
-                }
-                "--checkpoint-rounds" => {
-                    let v = it.next().ok_or("--checkpoint-rounds needs a value")?;
-                    let n: u64 = v
-                        .parse()
-                        .map_err(|_| format!("bad checkpoint cadence {v:?}"))?;
-                    if n == 0 {
-                        return Err("--checkpoint-rounds must be at least 1".into());
-                    }
-                    out.checkpoint_rounds = Some(n);
-                }
-                "--rescale" => {
-                    let v = it.next().ok_or("--rescale needs a value")?;
-                    out.rescale = dedukt_core::config::parse_rescale(&v)?;
-                }
-                "--table-safety" => {
-                    let v = it.next().ok_or("--table-safety needs a value")?;
-                    let f: f64 = v
-                        .parse()
-                        .map_err(|_| format!("bad table safety factor {v:?}"))?;
-                    if !f.is_finite() || f <= 0.0 {
-                        return Err("--table-safety must be a positive finite factor".into());
-                    }
-                    out.table_safety = Some(f);
-                }
-                "--device-hbm" => {
-                    let v = it.next().ok_or("--device-hbm needs a value")?;
-                    let b: u64 = v
-                        .parse()
-                        .map_err(|_| format!("bad device HBM byte count {v:?}"))?;
-                    if b == 0 {
-                        return Err("--device-hbm must be positive".into());
-                    }
-                    out.device_hbm = Some(b);
-                }
-                other => return Err(format!("unknown flag {other:?}")),
+                "--nodes" => out.nodes = Some(parse_nodes(&value()?)?),
+                flag => out.template.apply_flag(flag, &mut it)?,
             }
         }
         Ok(out)
     }
+
+    /// The value the run flags set for one template field, or `None`
+    /// where the field keeps its default — so a figure sweeps a field
+    /// only when no flag fixed it. A flag that repeats the default is
+    /// indistinguishable from no flag.
+    pub fn given<T: PartialEq>(&self, field: impl Fn(&RunConfig) -> T) -> Option<T> {
+        let value = field(&self.template);
+        (value != field(&ExperimentArgs::default().template)).then_some(value)
+    }
+
+    /// The template configured for one run: `mode` on `nodes` nodes.
+    pub fn config(&self, mode: Mode, nodes: usize) -> RunConfig {
+        let mut rc = self.template.clone();
+        rc.mode = mode;
+        rc.nodes = nodes;
+        rc
+    }
+}
+
+/// Prints `error` and the experiment usage for `bin`, then exits 2.
+pub fn usage_error(bin: &str, error: &str) -> ! {
+    eprintln!("error: {error}");
+    eprintln!(
+        "usage: {bin} [--scale tiny|bench|xFACTOR] [--seed N] [--nodes N]\n{}",
+        run_flags_usage("    ")
+    );
+    std::process::exit(2);
 }
 
 #[cfg(test)]
@@ -256,130 +108,55 @@ mod tests {
     fn defaults() {
         let a = parse(&[]).unwrap();
         assert_eq!(a.scale, ScalePreset::Bench);
-        assert!(a.nodes.is_none());
-        assert!(!a.gpu_direct);
+        assert!(a.nodes.is_none() && a.seed.is_none());
+        assert!(!a.template.gpu_direct && a.template.fault.is_none());
     }
 
+    /// Every other flag goes to the shared run-flag parser (whose own
+    /// table test covers each flag), interleaved with the figure's own.
     #[test]
-    fn full_flags() {
-        let a = parse(&[
-            "--scale",
-            "tiny",
-            "--nodes",
-            "16",
-            "--m",
-            "9",
-            "--seed",
-            "7",
-            "--gpu-direct",
-            "--round-limit",
-            "4096",
-            "--overlap-rounds",
-        ])
-        .unwrap();
-        assert_eq!(a.scale, ScalePreset::Tiny);
-        assert_eq!(a.nodes, Some(16));
-        assert_eq!(a.m, Some(9));
-        assert_eq!(a.seed, Some(7));
-        assert!(a.gpu_direct);
-        assert_eq!(a.round_limit, Some(4096));
-        assert!(a.overlap_rounds);
-    }
-
-    #[test]
-    fn custom_scale() {
-        let a = parse(&["--scale", "x0.25"]).unwrap();
+    fn own_flags_and_run_flags_interleave() {
+        let mut args = vec!["--scale", "x0.25", "--nodes", "16"];
+        for &(flag, value, _) in dedukt_core::flags::RUN_FLAGS {
+            if value.is_empty() {
+                args.push(flag);
+            }
+        }
+        args.extend(["--seed", "7"]);
+        let a = parse(&args).unwrap();
         assert_eq!(a.scale, ScalePreset::Custom(0.25));
-        assert!(parse(&["--scale", "x-1"]).is_err());
-        assert!(parse(&["--scale", "huge"]).is_err());
-    }
-
-    #[test]
-    fn fault_flags() {
-        let a = parse(&["--fault-seed", "7", "--fault-spec", "fail=0.1,retries=3"]).unwrap();
-        assert_eq!(a.fault_seed, Some(7));
-        assert_eq!(a.fault_spec.as_deref(), Some("fail=0.1,retries=3"));
-        // Malformed specs fail at the flag, not mid-run.
-        assert!(parse(&["--fault-spec", "bogus=1"]).is_err());
-        assert!(parse(&["--fault-spec", "fail"]).is_err());
-        assert!(parse(&["--fault-seed", "many"]).is_err());
-    }
-
-    #[test]
-    fn mem_flags() {
-        let a = parse(&[
-            "--mem-seed",
-            "5",
-            "--mem-spec",
-            "under=0.5,shrink=0.25",
-            "--table-safety",
-            "0.5",
-            "--device-hbm",
-            "1048576",
-        ])
-        .unwrap();
-        assert_eq!(a.mem_seed, Some(5));
-        assert_eq!(a.mem_spec.as_deref(), Some("under=0.5,shrink=0.25"));
-        assert_eq!(a.table_safety, Some(0.5));
-        assert_eq!(a.device_hbm, Some(1048576));
-        // Malformed specs and out-of-range knobs fail at the flag.
-        assert!(parse(&["--mem-spec", "bogus=1"]).is_err());
-        assert!(parse(&["--table-safety", "0"]).is_err());
-        assert!(parse(&["--device-hbm", "0"]).is_err());
-    }
-
-    #[test]
-    fn rank_flags() {
-        let a = parse(&[
-            "--rank-seed",
-            "3",
-            "--rank-spec",
-            "rate=0.01,max-dead=3,kill=1:2",
-            "--checkpoint-rounds",
-            "2",
-            "--rescale",
-            "1:8,3:12",
-        ])
-        .unwrap();
-        assert_eq!(a.rank_seed, Some(3));
-        assert_eq!(
-            a.rank_spec.as_deref(),
-            Some("rate=0.01,max-dead=3,kill=1:2")
+        assert_eq!((a.nodes, a.seed), (Some(16), Some(7)));
+        let rc = a.config(Mode::GpuKmer, 3);
+        assert_eq!((rc.mode, rc.nodes), (Mode::GpuKmer, 3));
+        assert!(
+            rc.gpu_direct && rc.wire_compress,
+            "switches reach the template"
         );
-        assert_eq!(a.checkpoint_rounds, Some(2));
-        assert_eq!(a.rescale, vec![(1, 8), (3, 12)]);
-        // Malformed specs and schedules fail at the flag, not mid-run.
-        assert!(parse(&["--rank-spec", "bogus=1"]).is_err());
-        assert!(parse(&["--rank-spec", "kill=abc"]).is_err());
-        assert!(parse(&["--checkpoint-rounds", "0"]).is_err());
-        assert!(parse(&["--rescale", "5"]).is_err());
     }
 
     #[test]
-    fn exchange_flags() {
-        let a = parse(&["--exchange-algo", "hierarchical", "--wire-compress"]).unwrap();
-        assert_eq!(
-            a.exchange_algo,
-            Some(dedukt_net::cost::ExchangeAlgo::NodeAggregated)
-        );
-        assert!(a.wire_compress);
-        let d = parse(&["--exchange-algo", "direct"]).unwrap();
-        assert_eq!(
-            d.exchange_algo,
-            Some(dedukt_net::cost::ExchangeAlgo::Direct)
-        );
-        assert!(parse(&["--exchange-algo", "fancy"]).is_err());
-        assert!(parse(&["--exchange-algo"]).is_err());
+    fn given_reports_only_fields_a_flag_changed() {
+        let mut a = ExperimentArgs::default();
+        a.template.counting.m = 9;
+        a.template.overlap_rounds = true;
+        assert_eq!(a.given(|rc| rc.counting.m), Some(9));
+        assert_eq!(a.given(|rc| rc.overlap_rounds), Some(true));
+        assert_eq!(a.given(|rc| rc.counting.k), None);
+        assert_eq!(a.given(|rc| rc.round_limit_bytes), None);
     }
 
     #[test]
-    fn rejects_bad_input() {
-        assert!(parse(&["--nodes"]).is_err());
-        assert!(parse(&["--nodes", "zero"]).is_err());
-        assert!(parse(&["--nodes", "0"]).is_err());
-        assert!(parse(&["--frobnicate"]).is_err());
-        assert!(parse(&["--round-limit"]).is_err());
-        assert!(parse(&["--round-limit", "0"]).is_err());
-        assert!(parse(&["--round-limit", "lots"]).is_err());
+    fn rejects_bad_own_flags() {
+        for args in [
+            &["--scale", "huge"][..],
+            &["--scale", "x-1"],
+            &["--scale", "xnan"],
+            &["--nodes"],
+            &["--nodes", "0"],
+            &["--seed", "s"],
+            &["--mode", "cpu"],
+        ] {
+            assert!(parse(args).is_err(), "{args:?} must be rejected");
+        }
     }
 }

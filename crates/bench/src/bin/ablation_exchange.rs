@@ -14,12 +14,14 @@
 //! The second table layers `--wire-compress` (the KMC 2-style supermer
 //! bucket codec) on the supermer counter and reports the physical wire
 //! volume and compression ratio against the flat 9 B/supermer records.
+//! `--exchange-algo` or `--wire-compress` runs only the lane it names.
 //!
 //! Usage: `cargo run --release -p dedukt-bench --bin ablation_exchange
 //!         [--scale ...] [--nodes N]`
 
+use dedukt_bench::runner::run;
 use dedukt_bench::{generate, print_header, ExperimentArgs, Table};
-use dedukt_core::{pipeline, Mode, RunConfig};
+use dedukt_core::Mode;
 use dedukt_dna::DatasetId;
 use dedukt_net::cost::ExchangeAlgo;
 use dedukt_sim::DataVolume;
@@ -46,11 +48,15 @@ fn main() {
     // (mode, algo) → (alltoallv time, spectrum fingerprint) for the
     // shape check below.
     let mut times = Vec::new();
+    let algos = args.given(|rc| rc.exchange_algo).map_or_else(
+        || vec![ExchangeAlgo::Direct, ExchangeAlgo::NodeAggregated],
+        |algo| vec![algo],
+    );
     for mode in [Mode::CpuBaseline, Mode::GpuKmer] {
-        for algo in [ExchangeAlgo::Direct, ExchangeAlgo::NodeAggregated] {
-            let mut rc = RunConfig::new(mode, nodes);
+        for &algo in &algos {
+            let mut rc = args.config(mode, nodes);
             rc.exchange_algo = algo;
-            let r = pipeline::run(&reads, &rc).expect("valid config");
+            let r = run(&reads, &rc);
             let msgs = match algo {
                 ExchangeAlgo::Direct => r.nranks - 1,
                 ExchangeAlgo::NodeAggregated => nodes - 1,
@@ -86,11 +92,13 @@ fn main() {
     // runs at a dense shape (buckets thin out quadratically with rank
     // count at fixed input size).
     let codec_nodes = nodes.min(4);
-    let mut ratios = Vec::new();
-    for compress in [false, true] {
-        let mut rc = RunConfig::new(Mode::GpuSupermer, codec_nodes);
+    let codecs = args
+        .given(|rc| rc.wire_compress)
+        .map_or_else(|| vec![false, true], |c| vec![c]);
+    for compress in codecs {
+        let mut rc = args.config(Mode::GpuSupermer, codec_nodes);
         rc.wire_compress = compress;
-        let r = pipeline::run(&reads, &rc).expect("valid config");
+        let r = run(&reads, &rc);
         // Logical = flat 9 B/supermer records; physical = what the wire
         // actually carried (identical to logical without the codec).
         let logical = r.exchange.units * 9;
@@ -103,13 +111,11 @@ fn main() {
             format!("{ratio:.2}x"),
             format!("{}", r.exchange.alltoallv_time),
         ]);
-        ratios.push(ratio);
+        assert!(
+            !compress || ratio > 1.3,
+            "wire codec must shrink the supermer exchange > 1.3x, got {ratio:.2}x"
+        );
     }
-    assert!(
-        ratios[1] > 1.3,
-        "wire codec must shrink the supermer exchange > 1.3x, got {:.2}x",
-        ratios[1]
-    );
     c.print();
     println!();
     println!(
@@ -120,15 +126,16 @@ fn main() {
     );
     // Make the CPU-shape claim self-checking when run at the paper's 64
     // nodes: 2,688 ranks is exactly where aggregation must win.
-    if nodes >= 64 {
-        let direct = times
+    let cpu_lane = |algo| {
+        times
             .iter()
-            .find(|(m, a, ..)| *m == Mode::CpuBaseline && *a == ExchangeAlgo::Direct)
-            .expect("ran");
-        let hier = times
-            .iter()
-            .find(|(m, a, ..)| *m == Mode::CpuBaseline && *a == ExchangeAlgo::NodeAggregated)
-            .expect("ran");
+            .find(|(m, a, ..)| *m == Mode::CpuBaseline && *a == algo)
+    };
+    if let (true, Some(direct), Some(hier)) = (
+        nodes >= 64,
+        cpu_lane(ExchangeAlgo::Direct),
+        cpu_lane(ExchangeAlgo::NodeAggregated),
+    ) {
         assert!(
             hier.2 < direct.2,
             "hierarchical must beat direct at the Summit CPU shape: {} vs {}",

@@ -6,12 +6,14 @@
 //! 2× NVLink) and observe that the compute bars shrink while the
 //! exchange — set by the *network* — does not, so end-to-end gains are
 //! marginal. Faster GPUs cannot fix a communication-bound pipeline.
+//! `--device-hbm` sets both devices' memory budget.
 //!
 //! Usage: `cargo run --release -p dedukt-bench --bin ablation_hardware
 //!         [--scale ...] [--nodes N]`
 
+use dedukt_bench::runner::run;
 use dedukt_bench::{generate, print_header, ExperimentArgs, Table};
-use dedukt_core::{pipeline, Mode, RunConfig};
+use dedukt_core::Mode;
 use dedukt_dna::DatasetId;
 use dedukt_gpu::DeviceConfig;
 
@@ -26,10 +28,12 @@ fn main() {
 
     let mut t = Table::new(["device", "parse", "exchange", "count", "total", "vs V100"]);
     let mut baseline_total = None;
-    for device in [DeviceConfig::v100(), DeviceConfig::a100()] {
-        let mut rc = RunConfig::new(Mode::GpuSupermer, nodes);
+    let hbm = args.given(|rc| rc.gpu_device.memory_bytes);
+    for mut device in [DeviceConfig::v100(), DeviceConfig::a100()] {
+        device.memory_bytes = hbm.unwrap_or(device.memory_bytes);
+        let mut rc = args.config(Mode::GpuSupermer, nodes);
         rc.gpu_device = device.clone();
-        let r = pipeline::run(&reads, &rc).expect("valid config");
+        let r = run(&reads, &rc);
         let total = r.total_time();
         let speedup = baseline_total
             .map(|b: dedukt_sim::SimTime| format!("{:.2}x", b / total))

@@ -9,11 +9,12 @@
 //! Usage: `cargo run --release -p dedukt-bench --bin ablation_orderings
 //!         [--scale ...] [--nodes N]`
 
+use dedukt_bench::runner::narrow_counting;
 use dedukt_bench::{generate, print_header, ExperimentArgs, Table};
 use dedukt_core::minimizer::{MinimizerScheme, OrderingKind};
 use dedukt_core::partition::{minimizer_owner, BalancedAssignment};
 use dedukt_core::supermer::build_supermers_reference;
-use dedukt_core::{Mode, RunConfig};
+use dedukt_core::Mode;
 use dedukt_dna::{DatasetId, Encoding};
 use dedukt_hash::Murmur3x64;
 use dedukt_sim::DistStats;
@@ -25,9 +26,8 @@ fn main() {
     let nranks = nodes * Mode::GpuSupermer.ranks_per_node();
     let id = DatasetId::CElegans40x;
     let reads = generate(id, &args);
-    let rc = RunConfig::new(Mode::GpuSupermer, nodes);
-    let k = rc.counting.k;
-    let m = args.m.unwrap_or(7);
+    let cfg = narrow_counting(&args);
+    let (k, m) = (cfg.k, cfg.m);
     print_header(
         "Ablation — minimizer ordering vs supermer count and partition skew",
         &format!("{}; k={k}, m={m}, {nranks} ranks", id.short_name()),
@@ -51,7 +51,7 @@ fn main() {
         ),
     ];
 
-    let hasher = Murmur3x64::new(rc.counting.hash_seed);
+    let hasher = Murmur3x64::new(cfg.hash_seed);
     let mut t = Table::new([
         "ordering",
         "supermers",
@@ -80,7 +80,7 @@ fn main() {
         }
         let hash_imb = DistStats::from_loads(&loads).unwrap().imbalance();
         // Balanced extension: LPT over the observed minimizer weights.
-        let balanced = BalancedAssignment::build(&weights, nranks, rc.counting.hash_seed);
+        let balanced = BalancedAssignment::build(&weights, nranks, cfg.hash_seed);
         let mut bal_loads = vec![0u64; nranks];
         for (&mz, &w) in &weights {
             bal_loads[balanced.owner(mz)] += w;

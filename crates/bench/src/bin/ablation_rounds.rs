@@ -7,21 +7,23 @@
 //! double-buffered overlap (`--overlap-rounds`) wins most of it back by
 //! hiding each round's count kernel behind the next round's wire time.
 //! Result identity across caps and overlap modes is asserted in
-//! `tests/rounds_invariants.rs`.
+//! `tests/rounds_invariants.rs`. `--round-limit` runs only that cap,
+//! and `--overlap-rounds` only the overlapped column.
 //!
 //! Usage: `cargo run --release -p dedukt-bench --bin ablation_rounds
 //!         [--scale ...] [--nodes N]`
 
+use dedukt_bench::runner::run;
 use dedukt_bench::{generate, print_header, ExperimentArgs, Table};
-use dedukt_core::{pipeline, Mode, RunConfig, RunReport};
+use dedukt_core::{Mode, RunConfig, RunReport};
 use dedukt_dna::{DatasetId, ReadSet};
 use dedukt_sim::SimTime;
 
-fn run_capped(reads: &ReadSet, nodes: usize, cap: Option<u64>, overlap: bool) -> RunReport {
-    let mut rc = RunConfig::new(Mode::GpuKmer, nodes);
+fn run_capped(reads: &ReadSet, template: &RunConfig, cap: Option<u64>, overlap: bool) -> RunReport {
+    let mut rc = template.clone();
     rc.round_limit_bytes = cap;
     rc.overlap_rounds = overlap;
-    pipeline::run(reads, &rc).expect("valid config")
+    run(reads, &rc)
 }
 
 fn main() {
@@ -33,9 +35,10 @@ fn main() {
         &format!("E. coli 30X, {nodes} nodes, GPU k-mer counter"),
     );
 
-    let rc = RunConfig::new(Mode::GpuKmer, nodes);
-    let unlimited = run_capped(&reads, nodes, None, false);
-    let out_bytes_per_rank = unlimited.exchange.bytes / rc.nranks() as u64;
+    let rc = args.config(Mode::GpuKmer, nodes);
+    let overlaps = args
+        .given(|rc| rc.overlap_rounds)
+        .map_or_else(|| vec![false, true], |o| vec![o]);
 
     let mut t = Table::new([
         "per-round cap",
@@ -45,38 +48,64 @@ fn main() {
         "overlap total",
         "overlap saves",
     ]);
-    t.row([
-        "unlimited".to_string(),
-        format!("{}", unlimited.exchange.rounds),
-        format!("{}", unlimited.exchange.alltoallv_time),
-        format!("{}", unlimited.total_time()),
-        "-".to_string(),
-        "-".to_string(),
-    ]);
-    let mut best_saving = SimTime::ZERO;
-    for divisor in [2u64, 4, 16, 64] {
-        let cap = (out_bytes_per_rank / divisor).max(1024);
-        let blocking = run_capped(&reads, nodes, Some(cap), false);
-        let overlapped = run_capped(&reads, nodes, Some(cap), true);
-        let saved = blocking.total_time() - overlapped.total_time();
-        if saved > best_saving {
-            best_saving = saved;
+    let caps = match args.given(|rc| rc.round_limit_bytes).flatten() {
+        Some(cap) => vec![cap],
+        None => {
+            let unlimited = run_capped(&reads, &rc, None, rc.overlap_rounds);
+            t.row([
+                "unlimited".to_string(),
+                format!("{}", unlimited.exchange.rounds),
+                format!("{}", unlimited.exchange.alltoallv_time),
+                format!("{}", unlimited.total_time()),
+                "-".to_string(),
+                "-".to_string(),
+            ]);
+            let out_bytes_per_rank = unlimited.exchange.bytes / rc.nranks() as u64;
+            [2u64, 4, 16, 64]
+                .map(|divisor| (out_bytes_per_rank / divisor).max(1024))
+                .to_vec()
         }
+    };
+    let mut best_saving = SimTime::ZERO;
+    for cap in caps {
+        // [blocking, overlapped]; a lane a flag ruled out stays empty.
+        let runs = [false, true].map(|overlap| {
+            overlaps
+                .contains(&overlap)
+                .then(|| run_capped(&reads, &rc, Some(cap), overlap))
+        });
+        let shown = runs.iter().flatten().next().expect("one lane runs");
+        let total = |r: &Option<RunReport>| {
+            r.as_ref()
+                .map_or_else(|| "-".to_string(), |r| format!("{}", r.total_time()))
+        };
+        let saved = match &runs {
+            [Some(b), Some(o)] => {
+                let saved = b.total_time() - o.total_time();
+                best_saving = best_saving.max(saved);
+                format!("{saved}")
+            }
+            _ => "-".to_string(),
+        };
         t.row([
             format!("{cap} B"),
-            format!("{}", blocking.exchange.rounds),
-            format!("{}", blocking.exchange.alltoallv_time),
-            format!("{}", blocking.total_time()),
-            format!("{}", overlapped.total_time()),
-            format!("{saved}"),
+            format!("{}", shown.exchange.rounds),
+            format!("{}", shown.exchange.alltoallv_time),
+            total(&runs[0]),
+            total(&runs[1]),
+            saved,
         ]);
     }
     t.print();
     println!();
+    let recovered = match overlaps.len() {
+        2 => format!("recovering up to {best_saving} here"),
+        _ => "not compared here".to_string(),
+    };
     println!(
         "the cost of memory-bounded operation is the extra per-round collective\n\
          latency; overlapping rounds charges max(wire, count) per round instead\n\
-         of wire + count, recovering up to {best_saving} here. counts are\n\
+         of wire + count, {recovered}. counts are\n\
          bit-identical in every cell (asserted by tests/rounds_invariants.rs)."
     );
 }

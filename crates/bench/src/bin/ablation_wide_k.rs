@@ -6,13 +6,15 @@
 //! engines must agree exactly. Wire bytes are exact per width (8-byte
 //! keys narrow, 16 wide; +1 length byte per supermer), and the supermer
 //! advantage grows with k because each extra supermer base amortizes a
-//! whole extra k-mer payload.
+//! whole extra k-mer payload. `--k` runs only that k, and `--m` sets
+//! every row's minimizer length.
 //!
 //! Usage: `cargo run --release -p dedukt-bench --bin ablation_wide_k
-//!         [--scale ...]`
+//!         [--scale ...] [--nodes N]`
 
+use dedukt_bench::runner::run_typed;
 use dedukt_bench::{generate, print_header, ExperimentArgs, Table};
-use dedukt_core::{pipeline, Mode, PackedKmer, RunConfig};
+use dedukt_core::{Mode, PackedKmer, RunConfig};
 use dedukt_dna::{DatasetId, ReadSet};
 
 struct SweepRow {
@@ -22,19 +24,17 @@ struct SweepRow {
     supermer_bytes: u64,
 }
 
-/// Runs all three engines at key width `K` and returns the exchange
-/// volumes (k-mer engines vs supermer engine). Panics if the engines
-/// disagree on any count.
-fn sweep<K: PackedKmer>(reads: &ReadSet, k: usize, m: usize, window: usize) -> SweepRow {
-    let mut rc = RunConfig::new(Mode::CpuBaseline, 1);
-    rc.counting.k = k;
-    rc.counting.m = m;
-    rc.counting.window = window;
-    let cpu = pipeline::run_typed::<K>(reads, &rc).expect("valid config");
+/// Runs all three engines at key width `K` on the config `rc` (whose
+/// mode is replaced) and returns the exchange volumes (k-mer engines vs
+/// supermer engine). Panics if the engines disagree on any count.
+fn sweep<K: PackedKmer>(reads: &ReadSet, mut rc: RunConfig) -> SweepRow {
+    let k = rc.counting.k;
+    rc.mode = Mode::CpuBaseline;
+    let cpu = run_typed::<K>(reads, &rc);
     rc.mode = Mode::GpuKmer;
-    let km = pipeline::run_typed::<K>(reads, &rc).expect("valid config");
+    let km = run_typed::<K>(reads, &rc);
     rc.mode = Mode::GpuSupermer;
-    let sm = pipeline::run_typed::<K>(reads, &rc).expect("valid config");
+    let sm = run_typed::<K>(reads, &rc);
     assert_eq!(
         cpu.total_kmers, km.total_kmers,
         "engines must agree at k={k}"
@@ -63,10 +63,11 @@ fn sweep<K: PackedKmer>(reads: &ReadSet, k: usize, m: usize, window: usize) -> S
 
 fn main() {
     let args = ExperimentArgs::parse();
+    let nodes = args.nodes.unwrap_or(1);
     let reads = generate(DatasetId::EColi30x, &args);
     print_header(
         "Ablation — k-mer length across the narrow/wide packing boundary",
-        "E. coli 30X, 1 node, all three engines per k; wire bytes are exact",
+        &format!("E. coli 30X, {nodes} node(s), all three engines per k; wire bytes are exact"),
     );
 
     let mut t = Table::new([
@@ -81,27 +82,20 @@ fn main() {
         "reduction",
     ]);
 
-    for (k, m) in [
-        (17usize, 7usize),
-        (31, 7),
-        (33, 9),
-        (41, 11),
-        (55, 13),
-        (63, 15),
-    ] {
-        let wide = k > 31;
-        let window = if wide {
-            65 - k
-        } else {
-            RunConfig::new(Mode::GpuSupermer, 1)
-                .counting
-                .window
-                .min(33 - k)
-        };
+    // `--k` runs only that k; `--m` replaces each row's minimizer length.
+    let rows = args.given(|rc| rc.counting.k).map_or_else(
+        || vec![(17, 7), (31, 7), (33, 9), (41, 11), (55, 13), (63, 15)],
+        |k| vec![(k, args.template.counting.m)],
+    );
+    for (k, m) in rows {
+        let wide = k > u64::MAX_COUNTING_K;
+        let mut rc = args.config(Mode::CpuBaseline, nodes);
+        rc.counting.set_k(k);
+        rc.counting.m = args.given(|rc| rc.counting.m).unwrap_or(m);
         let row = if wide {
-            sweep::<u128>(&reads, k, m, window)
+            sweep::<u128>(&reads, rc)
         } else {
-            sweep::<u64>(&reads, k, m, window)
+            sweep::<u64>(&reads, rc)
         };
         let (key_b, smer_b) = if wide {
             (u128::KMER_WIRE_BYTES, u128::SUPERMER_WIRE_BYTES)
@@ -123,9 +117,9 @@ fn main() {
     t.print();
     println!();
     println!(
-        "note: the window shrinks as k approaches the packing bound (33 − k narrow,\n\
-         65 − k wide), capping supermer length at one packed word; the reduction\n\
-         factor still grows with k because each supermer base amortizes a full\n\
-         key-width k-mer payload."
+        "note: the window (15 by default) shrinks as k approaches the packing bound\n\
+         (33 − k narrow, 65 − k wide), capping supermer length at one packed word;\n\
+         the reduction factor still grows with k because each supermer base\n\
+         amortizes a full key-width k-mer payload."
     );
 }

@@ -11,19 +11,16 @@
 //! Usage: `cargo run --release -p dedukt-bench --bin ablation_window
 //!         [--scale ...] [--m N]`
 
+use dedukt_bench::runner::narrow_counting;
 use dedukt_bench::{generate, print_header, ExperimentArgs, Table};
 use dedukt_core::supermer::{build_supermers_reference, build_supermers_windowed};
-use dedukt_core::CountingConfig;
 use dedukt_dna::DatasetId;
 
 fn main() {
     let args = ExperimentArgs::parse();
     let id = DatasetId::EColi30x;
     let reads = generate(id, &args);
-    let mut cfg = CountingConfig::default();
-    if let Some(m) = args.m {
-        cfg.m = m;
-    }
+    let cfg = narrow_counting(&args);
     let scheme = cfg.minimizer_scheme();
     print_header(
         "Ablation — supermer window length",
@@ -38,7 +35,11 @@ fn main() {
         "wire bytes",
         "reduction vs kmers",
     ]);
-    for window in [1usize, 2, 4, 8, 12, 15] {
+    // Windows past the one `--k` derives would not pack into a word.
+    for window in [1usize, 2, 4, 8, 12, 15]
+        .into_iter()
+        .filter(|&w| w <= cfg.window)
+    {
         let mut n = 0u64;
         let mut len = 0u64;
         for read in &reads.reads {

@@ -8,8 +8,9 @@
 //! Usage: `cargo run --release -p dedukt-bench --bin fig3_breakdown
 //!         [--scale tiny|bench|xF] [--nodes N]`
 
+use dedukt_bench::runner::run;
 use dedukt_bench::{generate, print_header, run_mode, ExperimentArgs, Table};
-use dedukt_core::{pipeline, Mode, RunConfig};
+use dedukt_core::Mode;
 use dedukt_dna::DatasetId;
 
 fn main() {
@@ -68,20 +69,31 @@ fn main() {
 
     // With exchange dominant, memory-bounded rounds + double buffering hide
     // the count kernel behind the next round's wire time (max instead of sum).
-    let cap = (gpu.exchange.bytes / gpu.nranks as u64 / 4).max(1024);
+    // `--round-limit` sets the cap; `--overlap-rounds` skips the blocking run.
+    let cap = args
+        .given(|rc| rc.round_limit_bytes)
+        .flatten()
+        .unwrap_or_else(|| (gpu.exchange.bytes / gpu.nranks as u64 / 4).max(1024));
     let run_rounds = |overlap: bool| {
-        let mut rc = RunConfig::new(Mode::GpuKmer, nodes);
+        let mut rc = args.config(Mode::GpuKmer, nodes);
         rc.round_limit_bytes = Some(cap);
         rc.overlap_rounds = overlap;
-        pipeline::run(&reads, &rc).expect("valid config")
+        run(&reads, &rc)
     };
-    let blocking = run_rounds(false);
     let overlapped = run_rounds(true);
     println!();
     println!(
         "with a {cap} B per-round cap ({} rounds):",
-        blocking.exchange.rounds
+        overlapped.exchange.rounds
     );
+    if args.given(|rc| rc.overlap_rounds).is_some() {
+        println!(
+            "  GPU total, overlapped (--overlap-rounds): {}",
+            overlapped.total_time()
+        );
+        return;
+    }
+    let blocking = run_rounds(false);
     println!(
         "  GPU total, blocking rounds:  {}   overlapped (--overlap-rounds): {}",
         blocking.total_time(),

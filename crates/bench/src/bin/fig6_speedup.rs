@@ -8,7 +8,7 @@
 //! Usage: `cargo run --release -p dedukt-bench --bin fig6_speedup
 //!         [--nodes 16|64] [--scale ...]`
 
-use dedukt_bench::runner::run_mode_with_m;
+use dedukt_bench::runner::{minimizer_lens, run_mode_with_m};
 use dedukt_bench::{generate, print_header, run_mode, ExperimentArgs, Table};
 use dedukt_core::Mode;
 use dedukt_dna::DatasetId;
@@ -33,28 +33,27 @@ fn main() {
         ),
     );
 
-    let mut t = Table::new([
-        "dataset",
-        "CPU total",
-        "GPU kmer total",
-        "speedup kmer",
-        "speedup supermer m=7",
-        "speedup supermer m=9",
-    ]);
+    let ms = minimizer_lens(&args, &[7, 9]);
+    let mut headers = ["dataset", "CPU total", "GPU kmer total", "speedup kmer"]
+        .map(String::from)
+        .to_vec();
+    headers.extend(ms.iter().map(|m| format!("speedup supermer m={m}")));
+    let mut t = Table::new(headers);
     for &id in datasets {
         let reads = generate(id, &args);
         let cpu = run_mode(&reads, Mode::CpuBaseline, nodes, &args);
         let kmer = run_mode(&reads, Mode::GpuKmer, nodes, &args);
-        let sm7 = run_mode_with_m(&reads, Mode::GpuSupermer, nodes, 7, &args);
-        let sm9 = run_mode_with_m(&reads, Mode::GpuSupermer, nodes, 9, &args);
-        t.row([
+        let mut row = vec![
             id.short_name().to_string(),
             format!("{}", cpu.total_time()),
             format!("{}", kmer.total_time()),
             format!("{:.1}x", kmer.speedup_over(&cpu)),
-            format!("{:.1}x", sm7.speedup_over(&cpu)),
-            format!("{:.1}x", sm9.speedup_over(&cpu)),
-        ]);
+        ];
+        for &m in &ms {
+            let sm = run_mode_with_m(&reads, Mode::GpuSupermer, nodes, m, &args);
+            row.push(format!("{:.1}x", sm.speedup_over(&cpu)));
+        }
+        t.row(row);
     }
     t.print();
     println!();

@@ -7,7 +7,7 @@
 //! Usage: `cargo run --release -p dedukt-bench --bin fig8_alltoallv
 //!         [--nodes 16|64] [--scale ...]`
 
-use dedukt_bench::runner::run_mode_with_m;
+use dedukt_bench::runner::{minimizer_lens, run_mode_with_m};
 use dedukt_bench::{generate, print_header, run_mode, ExperimentArgs, Table};
 use dedukt_core::Mode;
 use dedukt_dna::DatasetId;
@@ -31,33 +31,32 @@ fn main() {
         ),
     );
 
-    let mut t = Table::new([
-        "dataset",
-        "kmer alltoallv",
-        "m=7 alltoallv",
-        "m=9 alltoallv",
-        "speedup m=7",
-        "speedup m=9",
-    ]);
+    let ms = minimizer_lens(&args, &[7, 9]);
+    let mut headers = vec!["dataset".to_string(), "kmer alltoallv".to_string()];
+    headers.extend(ms.iter().map(|m| format!("m={m} alltoallv")));
+    headers.extend(ms.iter().map(|m| format!("speedup m={m}")));
+    let mut t = Table::new(headers);
     for &id in datasets {
         let reads = generate(id, &args);
         let kmer = run_mode(&reads, Mode::GpuKmer, nodes, &args);
-        let sm7 = run_mode_with_m(&reads, Mode::GpuSupermer, nodes, 7, &args);
-        let sm9 = run_mode_with_m(&reads, Mode::GpuSupermer, nodes, 9, &args);
-        t.row([
+        let wire: Vec<_> = ms
+            .iter()
+            .map(|&m| {
+                run_mode_with_m(&reads, Mode::GpuSupermer, nodes, m, &args)
+                    .exchange
+                    .alltoallv_time
+            })
+            .collect();
+        let mut row = vec![
             id.short_name().to_string(),
             format!("{}", kmer.exchange.alltoallv_time),
-            format!("{}", sm7.exchange.alltoallv_time),
-            format!("{}", sm9.exchange.alltoallv_time),
-            format!(
-                "{:.2}x",
-                kmer.exchange.alltoallv_time / sm7.exchange.alltoallv_time
-            ),
-            format!(
-                "{:.2}x",
-                kmer.exchange.alltoallv_time / sm9.exchange.alltoallv_time
-            ),
-        ]);
+        ];
+        row.extend(wire.iter().map(|w| format!("{w}")));
+        row.extend(
+            wire.iter()
+                .map(|&w| format!("{:.2}x", kmer.exchange.alltoallv_time / w)),
+        );
+        t.row(row);
     }
     t.print();
     println!();

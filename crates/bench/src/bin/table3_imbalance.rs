@@ -7,7 +7,7 @@
 
 use dedukt_bench::paper::table3_row;
 use dedukt_bench::printer::fmt_count;
-use dedukt_bench::runner::run_mode_with_m;
+use dedukt_bench::runner::{minimizer_lens, run, run_mode_with_m};
 use dedukt_bench::{generate, print_header, run_mode, ExperimentArgs, Table};
 use dedukt_core::Mode;
 use dedukt_dna::DatasetId;
@@ -35,16 +35,17 @@ fn main() {
         "balanced imbal",
         "paper imbal",
     ]);
+    let m = minimizer_lens(&args, &[7])[0];
     for id in [DatasetId::CElegans40x, DatasetId::HSapiens54x] {
         let reads = generate(id, &args);
         let kmer = run_mode(&reads, Mode::GpuKmer, nodes, &args);
-        let smer = run_mode_with_m(&reads, Mode::GpuSupermer, nodes, 7, &args);
+        let smer = run_mode_with_m(&reads, Mode::GpuSupermer, nodes, m, &args);
         // The §VII future-work extension: frequency-aware assignment.
         let balanced = {
-            let mut rc = dedukt_core::RunConfig::new(Mode::GpuSupermer, nodes);
-            rc.counting.m = 7;
+            let mut rc = args.config(Mode::GpuSupermer, nodes);
+            rc.counting.m = m;
             rc.balanced_minimizers = true;
-            dedukt_core::pipeline::run(&reads, &rc).expect("valid config")
+            run(&reads, &rc)
         };
         let ks = kmer.load.stats();
         let ss = smer.load.stats();

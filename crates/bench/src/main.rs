@@ -34,7 +34,7 @@
 //! `table2_volume`, …); this binary is deliberately tiny so the
 //! baseline stays fast enough to re-run on every PR.
 
-use dedukt_bench::args::ExperimentArgs;
+use dedukt_bench::args::{usage_error, ExperimentArgs};
 use dedukt_bench::runner;
 use dedukt_core::{Mode, RunReport};
 use dedukt_dna::DatasetId;
@@ -184,17 +184,8 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let mut args = match ExperimentArgs::try_parse(raw.iter().cloned()) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!(
-                "usage: dedukt-bench [--check BENCH_baseline.json] [--scale tiny|bench|xFACTOR] \
-                 [--nodes N] [common experiment flags...]"
-            );
-            std::process::exit(2);
-        }
-    };
+    let mut args = ExperimentArgs::try_parse(raw.iter().cloned())
+        .unwrap_or_else(|e| usage_error("dedukt-bench [--check BENCH_baseline.json]", &e));
     // The checked-in baseline is the tiny deterministic slice; larger
     // scales remain available via --scale for local comparisons.
     if !raw.iter().any(|a| a == "--scale") {

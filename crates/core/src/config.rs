@@ -107,6 +107,21 @@ impl CountingConfig {
         Ok(())
     }
 
+    /// Sets `k` and derives the supermer window from it: the paper's
+    /// default window, narrowed so a supermer (`window + k − 1` bases)
+    /// still packs into one word of the key width `k` selects — 32 bases
+    /// for k ≤ 31, 64 for k ≤ 63. A larger k keeps the default window
+    /// and is left for validation to reject.
+    pub fn set_k(&mut self, k: usize) {
+        let window = CountingConfig::default().window;
+        self.k = k;
+        self.window = match k {
+            ..=31 => window.min(33 - k),
+            32..=63 => window.min(65 - k).max(1),
+            _ => window,
+        };
+    }
+
     /// The minimizer scheme induced by `encoding` + `ordering`.
     pub fn minimizer_scheme(&self) -> MinimizerScheme {
         MinimizerScheme {
@@ -141,9 +156,9 @@ pub enum ConfigError {
     /// The fault plan's rates or retry policy are out of range
     /// ([`dedukt_net::fault::FaultSpec::validate`]'s message).
     Fault(String),
-    /// The memory-pressure plan or table safety factor is out of range
-    /// ([`dedukt_gpu::MemSpec::validate`]'s message, or a bad
-    /// `table_safety`).
+    /// The memory-pressure plan, table safety factor or device memory
+    /// budget is out of range ([`dedukt_gpu::MemSpec::validate`]'s
+    /// message, a bad `table_safety`, or a zero-byte device).
     Mem(String),
     /// The rank-failure plan, checkpoint cadence or rescale schedule is
     /// out of range ([`dedukt_net::fault::RankSpec::validate`]'s
@@ -403,29 +418,6 @@ pub struct RunConfig {
     pub min_count: u32,
 }
 
-/// Parses a `--rescale` schedule: a comma list of `round:world` pairs,
-/// e.g. `1:10,3:12`. Ordering and range checks live in
-/// [`RunConfig::validate`].
-pub fn parse_rescale(s: &str) -> Result<Vec<(u64, usize)>, String> {
-    let mut out = Vec::new();
-    for part in s.split(',').filter(|p| !p.trim().is_empty()) {
-        let part = part.trim();
-        let (round, world) = part
-            .split_once(':')
-            .ok_or_else(|| format!("rescale entry `{part}` is not round:world"))?;
-        let round = round
-            .trim()
-            .parse::<u64>()
-            .map_err(|_| format!("rescale round `{}` is not an integer", round.trim()))?;
-        let world = world
-            .trim()
-            .parse::<usize>()
-            .map_err(|_| format!("rescale world `{}` is not an integer", world.trim()))?;
-        out.push((round, world));
-    }
-    Ok(out)
-}
-
 impl RunConfig {
     /// A run of `mode` on `nodes` nodes with paper-default parameters.
     pub fn new(mode: Mode, nodes: usize) -> RunConfig {
@@ -502,6 +494,11 @@ impl RunConfig {
                 "table safety factor {} must be a finite value in (0, 100]",
                 self.table_safety
             )));
+        }
+        if self.gpu_device.memory_bytes == 0 {
+            return Err(ConfigError::Mem(
+                "device memory budget must be positive".into(),
+            ));
         }
         if let Some(plan) = &self.mem {
             plan.spec().validate().map_err(ConfigError::Mem)?;
@@ -613,6 +610,10 @@ mod tests {
         rc.round_limit_bytes = Some(0);
         assert_eq!(rc.validate(), Err(ConfigError::ZeroRoundLimit));
         rc.round_limit_bytes = Some(1);
+        assert!(rc.validate().is_ok());
+        rc.gpu_device.memory_bytes = 0;
+        assert!(matches!(rc.validate(), Err(ConfigError::Mem(m)) if m.contains("device memory")));
+        rc.gpu_device.memory_bytes = 1;
         assert!(rc.validate().is_ok());
         rc.counting.k = 64;
         assert!(matches!(rc.validate(), Err(ConfigError::Counting(_))));
@@ -738,15 +739,6 @@ mod tests {
         assert!(matches!(rc.validate(), Err(ConfigError::Io(_))));
         rc.min_count = 1;
         assert!(rc.validate().is_ok());
-    }
-
-    #[test]
-    fn rescale_schedules_parse() {
-        assert_eq!(parse_rescale("1:10, 3:12").unwrap(), vec![(1, 10), (3, 12)]);
-        assert_eq!(parse_rescale("").unwrap(), vec![]);
-        assert!(parse_rescale("5").unwrap_err().contains("round:world"));
-        assert!(parse_rescale("a:1").unwrap_err().contains("not an integer"));
-        assert!(parse_rescale("1:b").unwrap_err().contains("not an integer"));
     }
 
     #[test]

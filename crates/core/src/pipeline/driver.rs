@@ -749,13 +749,23 @@ pub(crate) fn run_staged<S: CounterStages>(
             }
         }
     }
+    // Each rank's entries come back in hash-slot order, which depends on
+    // how the device threads interleaved; sorting by key makes the
+    // per-rank tables a deterministic function of the input.
     let indexed: Vec<(usize, S::Counter)> = counters.into_iter().enumerate().collect();
     let mut rank_results: Vec<RankCountResult<S::Key>> = indexed
         .into_par_iter()
-        .map(|(rank, c)| stages.finish(&ctx, rank, c))
+        .map(|(rank, c)| {
+            let mut result = stages.finish(&ctx, rank, c);
+            result.entries.sort_unstable_by_key(|&(key, _)| key);
+            result
+        })
         .collect();
     if !salvaged.is_empty() {
         fold_salvaged(&mut rank_results, salvaged);
+        for r in &mut rank_results {
+            r.entries.sort_unstable_by_key(|&(key, _)| key);
+        }
     }
 
     // ── Report assembly ────────────────────────────────────────────────

@@ -132,12 +132,6 @@ impl Encoding {
     pub fn encode_base(self, base: Base) -> u8 {
         self.encode(base.code())
     }
-
-    /// Decodes a 2-bit symbol to a [`Base`].
-    #[inline]
-    pub fn decode_base(self, sym: u8) -> Base {
-        Base::from_code(self.decode(sym))
-    }
 }
 
 impl Default for Encoding {

@@ -123,6 +123,26 @@ pub enum ScalePreset {
 }
 
 impl ScalePreset {
+    /// Parses a `--scale` value: `tiny`, `bench`, or `x<FACTOR>` with a
+    /// positive, finite factor.
+    pub fn parse(s: &str) -> Result<ScalePreset, String> {
+        match s {
+            "tiny" => Ok(ScalePreset::Tiny),
+            "bench" => Ok(ScalePreset::Bench),
+            _ => {
+                let factor = s.strip_prefix('x').ok_or_else(|| {
+                    format!("unknown scale {s:?} (expected tiny, bench or xFACTOR)")
+                })?;
+                match factor.parse::<f64>() {
+                    Ok(f) if f.is_finite() && f > 0.0 => Ok(ScalePreset::Custom(f)),
+                    _ => Err(format!(
+                        "bad scale factor {s:?}: must be a positive, finite number"
+                    )),
+                }
+            }
+        }
+    }
+
     fn genome_multiplier(self) -> f64 {
         match self {
             ScalePreset::Tiny => 0.02,
@@ -278,6 +298,16 @@ mod tests {
         let one = Dataset::new(DatasetId::EColi30x, ScalePreset::Custom(1.0));
         let half = Dataset::new(DatasetId::EColi30x, ScalePreset::Custom(0.5));
         assert_eq!(one.genome.length / 2, half.genome.length);
+    }
+
+    #[test]
+    fn scale_parser_accepts_presets_and_positive_factors() {
+        assert_eq!(ScalePreset::parse("tiny"), Ok(ScalePreset::Tiny));
+        assert_eq!(ScalePreset::parse("bench"), Ok(ScalePreset::Bench));
+        assert_eq!(ScalePreset::parse("x0.25"), Ok(ScalePreset::Custom(0.25)));
+        for bad in ["huge", "x", "xabc", "x0", "x-1", "xnan", "xinf"] {
+            assert!(ScalePreset::parse(bad).is_err(), "{bad} must be rejected");
+        }
     }
 
     #[test]

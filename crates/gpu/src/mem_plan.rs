@@ -22,6 +22,7 @@
 //!   `RunError::DeviceOom` unwind).
 
 use dedukt_sim::rng::unit_from_coords;
+use dedukt_sim::spec::{integer, number, parse_spec};
 
 /// Domain-separation salts so the two pressure streams never alias
 /// (and never alias the network fault salts).
@@ -75,35 +76,17 @@ impl MemSpec {
     /// the CLI surfaces them through `ConfigError` like every other
     /// configuration problem.
     pub fn parse(s: &str) -> Result<MemSpec, String> {
-        let mut spec = MemSpec::default();
-        for part in s.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("mem spec entry `{}` is not key=value", part.trim()))?;
-            let key = key.trim();
-            let value = value.trim();
-            let parse_f64 = || {
-                value
-                    .parse::<f64>()
-                    .map_err(|_| format!("mem spec {key}=`{value}` is not a number"))
-            };
-            match key {
-                "under" => spec.underestimate_rate = parse_f64()?,
-                "shrink" => spec.shrink_factor = parse_f64()?,
-                "afail" => spec.alloc_fail_rate = parse_f64()?,
-                "spill" => {
-                    spec.spill_limit = value
-                        .parse::<u64>()
-                        .map_err(|_| format!("mem spec spill=`{value}` is not an integer"))?
-                }
-                _ => {
-                    return Err(format!(
-                        "unknown mem spec key `{key}` (expected under/shrink/afail/spill)"
-                    ))
-                }
-            }
-        }
-        Ok(spec)
+        parse_spec(
+            s,
+            "mem",
+            MemSpec::default(),
+            &[
+                ("under", |spec, v| number(&mut spec.underestimate_rate, v)),
+                ("shrink", |spec, v| number(&mut spec.shrink_factor, v)),
+                ("afail", |spec, v| number(&mut spec.alloc_fail_rate, v)),
+                ("spill", |spec, v| integer(&mut spec.spill_limit, v)),
+            ],
+        )
     }
 
     /// Range checks, in `FaultSpec::validate` style: rates in [0, 1],

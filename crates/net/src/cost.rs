@@ -67,14 +67,6 @@ impl NetworkParams {
             algo: ExchangeAlgo::Direct,
         }
     }
-
-    /// Summit with node-aggregated exchange.
-    pub fn summit_aggregated() -> NetworkParams {
-        NetworkParams {
-            algo: ExchangeAlgo::NodeAggregated,
-            ..Self::summit()
-        }
-    }
 }
 
 /// The simulated NVMe/SSD storage tier used by the out-of-core

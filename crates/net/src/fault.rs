@@ -23,6 +23,7 @@
 //!   [`FaultSpec::straggle_factor`]; timing-only, payloads are unaffected.
 
 use dedukt_sim::rng::unit_from_coords;
+use dedukt_sim::spec::{integer, number, parse_spec};
 
 /// Domain-separation salts so the fault streams never alias.
 const SALT_FATE: u64 = 0xFA17_0001;
@@ -95,38 +96,19 @@ impl FaultSpec {
     /// the CLI surfaces them through `ConfigError` like every other
     /// configuration problem.
     pub fn parse(s: &str) -> Result<FaultSpec, String> {
-        let mut spec = FaultSpec::default();
-        for part in s.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("fault spec entry `{}` is not key=value", part.trim()))?;
-            let key = key.trim();
-            let value = value.trim();
-            let parse_f64 = || {
-                value
-                    .parse::<f64>()
-                    .map_err(|_| format!("fault spec {key}=`{value}` is not a number"))
-            };
-            match key {
-                "fail" => spec.fail_rate = parse_f64()?,
-                "corrupt" => spec.corrupt_rate = parse_f64()?,
-                "straggle" => spec.straggle_rate = parse_f64()?,
-                "slow" => spec.straggle_factor = parse_f64()?,
-                "backoff" => spec.backoff_secs = parse_f64()?,
-                "retries" => {
-                    spec.max_retries = value
-                        .parse::<u32>()
-                        .map_err(|_| format!("fault spec retries=`{value}` is not an integer"))?
-                }
-                _ => {
-                    return Err(format!(
-                        "unknown fault spec key `{key}` \
-                         (expected fail/corrupt/straggle/slow/retries/backoff)"
-                    ))
-                }
-            }
-        }
-        Ok(spec)
+        parse_spec(
+            s,
+            "fault",
+            FaultSpec::default(),
+            &[
+                ("fail", |spec, v| number(&mut spec.fail_rate, v)),
+                ("corrupt", |spec, v| number(&mut spec.corrupt_rate, v)),
+                ("straggle", |spec, v| number(&mut spec.straggle_rate, v)),
+                ("slow", |spec, v| number(&mut spec.straggle_factor, v)),
+                ("retries", |spec, v| integer(&mut spec.max_retries, v)),
+                ("backoff", |spec, v| number(&mut spec.backoff_secs, v)),
+            ],
+        )
     }
 
     /// Range checks, in `validate_for_width` style: rates in [0, 1], at
@@ -274,44 +256,23 @@ impl RankSpec {
     /// the CLI surfaces them through `ConfigError` like every other
     /// configuration problem.
     pub fn parse(s: &str) -> Result<RankSpec, String> {
-        let mut spec = RankSpec::default();
-        for part in s.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("rank spec entry `{}` is not key=value", part.trim()))?;
-            let key = key.trim();
-            let value = value.trim();
-            match key {
-                "rate" => {
-                    spec.rate = value
-                        .parse::<f64>()
-                        .map_err(|_| format!("rank spec rate=`{value}` is not a number"))?
-                }
-                "max-dead" => {
-                    spec.max_dead = value
-                        .parse::<usize>()
-                        .map_err(|_| format!("rank spec max-dead=`{value}` is not an integer"))?
-                }
-                "kill" => {
-                    let (round, rank) = value
-                        .split_once(':')
-                        .ok_or_else(|| format!("rank spec kill=`{value}` is not ROUND:RANK"))?;
-                    let round = round.trim().parse::<u64>().map_err(|_| {
-                        format!("rank spec kill round `{}` is not an integer", round.trim())
-                    })?;
-                    let rank = rank.trim().parse::<usize>().map_err(|_| {
-                        format!("rank spec kill rank `{}` is not an integer", rank.trim())
-                    })?;
-                    spec.kill.push((round, rank));
-                }
-                _ => {
-                    return Err(format!(
-                        "unknown rank spec key `{key}` (expected rate/max-dead/kill)"
-                    ))
-                }
-            }
-        }
-        Ok(spec)
+        parse_spec(
+            s,
+            "rank",
+            RankSpec::default(),
+            &[
+                ("rate", |spec, v| number(&mut spec.rate, v)),
+                ("max-dead", |spec, v| integer(&mut spec.max_dead, v)),
+                ("kill", |spec, v| {
+                    let (round, rank) = v.split_once(':').ok_or("is not ROUND:RANK")?;
+                    let mut kill = (0, 0);
+                    integer(&mut kill.0, round.trim())?;
+                    integer(&mut kill.1, rank.trim())?;
+                    spec.kill.push(kill);
+                    Ok(())
+                }),
+            ],
+        )
     }
 
     /// Range checks, in `FaultSpec::validate` style: rate in [0, 1].

@@ -1,7 +1,7 @@
 //! Communication statistics: the exact byte and message counts behind the
 //! paper's Table II.
 
-use dedukt_sim::{DataVolume, DistStats};
+use dedukt_sim::DistStats;
 
 /// Accumulated statistics over one or more collectives.
 #[derive(Clone, Debug, Default)]
@@ -71,11 +71,6 @@ impl CommStats {
                 self.sent_by_rank[i] += b;
             }
         }
-    }
-
-    /// Total volume as a [`DataVolume`].
-    pub fn total_volume(&self) -> DataVolume {
-        DataVolume::from_bytes(self.total_bytes)
     }
 
     /// Distribution of per-rank sent bytes.

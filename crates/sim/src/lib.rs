@@ -4,7 +4,8 @@
 //! communication volumes) for real, but hardware timings are produced by
 //! analytic cost models. This crate holds the vocabulary types those models
 //! speak: [`SimTime`] for simulated durations, [`DataVolume`] for byte
-//! counts, [`Rate`] for throughputs, plus counters and distribution
+//! counts, [`Rate`] for throughputs, plus the metrics registry, the
+//! `key=value` grammar of the injection specs ([`spec`]), and distribution
 //! statistics ([`DistStats`]) used for load-imbalance reporting (Table III of
 //! the paper).
 
@@ -15,8 +16,8 @@ pub mod journal;
 pub mod metrics;
 pub mod rate;
 pub mod rng;
+pub mod spec;
 pub mod stats;
-pub mod tally;
 pub mod time;
 pub mod trace;
 pub mod volume;
@@ -27,7 +28,6 @@ pub use metrics::{Histogram, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use rate::Rate;
 pub use rng::SplitMix64;
 pub use stats::DistStats;
-pub use tally::Counter;
 pub use time::{SimClock, SimTime};
 pub use trace::{TraceCounter, TraceEvent};
 pub use volume::DataVolume;

@@ -22,6 +22,7 @@
 //!   whole bin read; the data underneath is intact.
 
 use dedukt_sim::rng::unit_from_coords;
+use dedukt_sim::spec::{integer, number, parse_spec};
 
 /// Domain-separation salts so the three fault streams never alias (and
 /// never alias the network/memory fault salts).
@@ -87,44 +88,19 @@ impl IoSpec {
     /// the CLI surfaces them through `ConfigError` like every other
     /// configuration problem.
     pub fn parse(s: &str) -> Result<IoSpec, String> {
-        let mut spec = IoSpec::default();
-        for part in s.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("io spec entry `{}` is not key=value", part.trim()))?;
-            let key = key.trim();
-            let value = value.trim();
-            let parse_f64 = || {
-                value
-                    .parse::<f64>()
-                    .map_err(|_| format!("io spec {key}=`{value}` is not a number"))
-            };
-            let parse_u32 = || {
-                value
-                    .parse::<u32>()
-                    .map_err(|_| format!("io spec {key}=`{value}` is not an integer"))
-            };
-            match key {
-                "torn" => spec.torn_rate = parse_f64()?,
-                "rot" => spec.rot_rate = parse_f64()?,
-                "readerr" => spec.read_error_rate = parse_f64()?,
-                "retries" => spec.max_retries = parse_u32()?,
-                "rederive" => spec.max_rederives = parse_u32()?,
-                "kill" => {
-                    spec.kill_after = Some(
-                        value
-                            .parse::<u64>()
-                            .map_err(|_| format!("io spec kill=`{value}` is not an integer"))?,
-                    )
-                }
-                _ => {
-                    return Err(format!(
-                    "unknown io spec key `{key}` (expected torn/rot/readerr/retries/rederive/kill)"
-                ))
-                }
-            }
-        }
-        Ok(spec)
+        parse_spec(
+            s,
+            "io",
+            IoSpec::default(),
+            &[
+                ("torn", |spec, v| number(&mut spec.torn_rate, v)),
+                ("rot", |spec, v| number(&mut spec.rot_rate, v)),
+                ("readerr", |spec, v| number(&mut spec.read_error_rate, v)),
+                ("retries", |spec, v| integer(&mut spec.max_retries, v)),
+                ("rederive", |spec, v| integer(&mut spec.max_rederives, v)),
+                ("kill", |spec, v| integer(spec.kill_after.insert(0), v)),
+            ],
+        )
     }
 
     /// Range checks, in `FaultSpec::validate` style: rates in [0, 1],

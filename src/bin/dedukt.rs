@@ -74,6 +74,7 @@
 //! dedukt analyze run.jsonl
 //! ```
 
+use dedukt::core::flags::{parse_nodes, run_flags_usage};
 use dedukt::core::{dump, pipeline, Mode, PackedKmer, RunConfig};
 use dedukt::dna::fastq::parse_fastq;
 use dedukt::dna::{Dataset, DatasetId, ScalePreset};
@@ -109,23 +110,15 @@ fn print_usage() {
     eprintln!(
         "usage:\n  dedukt simulate <ecoli|paeruginosa|vvulnificus|abaumannii|celegans|hsapiens>\n\
          \x20        [--scale tiny|bench|xF] [--seed N] [--out FILE]\n\
-         \x20 dedukt count <reads.fastq> [--mode cpu|gpu|supermer] [--nodes N] [--k K] [--m M]\n\
-         \x20        [--canonical] [--gpu-direct] [--min-qual Q] [--round-limit BYTES]\n\
-         \x20        [--overlap-rounds] [--exchange-algo direct|hierarchical]\n\
-         \x20        [--wire-compress] [--out dump.tsv]\n\
-         \x20        [--spectrum spec.tsv] [--trace trace.json]\n\
+         \x20 dedukt count <reads.fastq> [--mode cpu|gpu|supermer] [--nodes N] [--min-qual Q]\n\
+         \x20        [--out dump.tsv] [--spectrum spec.tsv] [--trace trace.json]\n\
          \x20        [--metrics metrics.json] [--metrics-format json|prom]\n\
          \x20        [--journal run.jsonl]\n\
-         \x20        [--fault-seed N] [--fault-spec fail=F,corrupt=C,straggle=S,slow=X,retries=R,backoff=B]\n\
-         \x20        [--mem-seed N] [--mem-spec under=U,shrink=S,afail=A,spill=N]\n\
-         \x20        [--rank-seed N] [--rank-spec rate=R,max-dead=D,kill=ROUND:RANK]\n\
-         \x20        [--checkpoint-rounds N] [--rescale ROUND:WORLD,...]\n\
-         \x20        [--table-safety F] [--device-hbm BYTES]\n\
-         \x20        [--two-pass DIR] [--resume] [--min-count N]\n\
-         \x20        [--io-seed N] [--io-spec torn=T,rot=R,readerr=E,retries=N,rederive=M,kill=K]\n\
+         {}\n\
          \x20 dedukt analyze <run.jsonl> | dedukt analyze --diff <a.jsonl> <b.jsonl>\n\
          \x20 dedukt compare <a.tsv> <b.tsv> [--k K]\n\
-         \x20 dedukt info"
+         \x20 dedukt info",
+        run_flags_usage("         ")
     );
 }
 
@@ -259,7 +252,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         match arg.as_str() {
             "--scale" => {
                 let v = take_value(&mut it, "--scale")?;
-                ds = Dataset::new(ds.id, parse_scale(v)?);
+                ds = Dataset::new(ds.id, ScalePreset::parse(v)?);
             }
             "--seed" => {
                 ds.seed = take_value(&mut it, "--seed")?
@@ -291,17 +284,6 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-fn parse_scale(v: &str) -> Result<ScalePreset, String> {
-    Ok(match v {
-        "tiny" => ScalePreset::Tiny,
-        "bench" => ScalePreset::Bench,
-        s if s.starts_with('x') => {
-            ScalePreset::Custom(s[1..].parse().map_err(|_| format!("bad scale {s:?}"))?)
-        }
-        other => return Err(format!("unknown scale {other:?}")),
-    })
 }
 
 /// Export format for `--metrics`.
@@ -351,21 +333,15 @@ fn cmd_count(args: &[String]) -> Result<(), String> {
     let mut it = args.iter();
     let path = it.next().ok_or("count needs a FASTQ path")?;
     let mut rc = RunConfig::new(Mode::GpuSupermer, 1);
-    let mut out_path: Option<String> = None;
-    let mut spectrum_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut journal_path: Option<String> = None;
-    let mut metrics_format = MetricsFormat::Json;
-    let mut min_qual: Option<u8> = None;
-    let mut fault_seed: Option<u64> = None;
-    let mut fault_spec: Option<String> = None;
-    let mut mem_seed: Option<u64> = None;
-    let mut mem_spec: Option<String> = None;
-    let mut rank_seed: Option<u64> = None;
-    let mut rank_spec: Option<String> = None;
-    let mut io_seed: Option<u64> = None;
-    let mut io_spec: Option<String> = None;
+    let mut outputs = CountOutputs {
+        out_path: None,
+        spectrum_path: None,
+        trace_path: None,
+        metrics_path: None,
+        journal_path: None,
+        metrics_format: MetricsFormat::Json,
+        min_qual: None,
+    };
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--mode" => {
@@ -376,168 +352,41 @@ fn cmd_count(args: &[String]) -> Result<(), String> {
                     other => return Err(format!("unknown mode {other:?}")),
                 }
             }
-            "--nodes" => {
-                rc.nodes = take_value(&mut it, "--nodes")?
-                    .parse()
-                    .map_err(|_| "bad node count")?;
-                if rc.nodes == 0 {
-                    return Err("--nodes must be positive".into());
-                }
-            }
-            "--k" => rc.counting.k = take_value(&mut it, "--k")?.parse().map_err(|_| "bad k")?,
-            "--m" => rc.counting.m = take_value(&mut it, "--m")?.parse().map_err(|_| "bad m")?,
-            "--canonical" => rc.counting.canonical = true,
-            "--gpu-direct" => rc.gpu_direct = true,
-            "--round-limit" => {
-                rc.round_limit_bytes = Some(
-                    take_value(&mut it, "--round-limit")?
-                        .parse()
-                        .map_err(|_| "bad round limit")?,
-                )
-            }
-            "--overlap-rounds" => rc.overlap_rounds = true,
-            "--exchange-algo" => {
-                rc.exchange_algo =
-                    dedukt::net::ExchangeRoute::parse(take_value(&mut it, "--exchange-algo")?)?
-                        .algo()
-            }
-            "--wire-compress" => rc.wire_compress = true,
+            "--nodes" => rc.nodes = parse_nodes(take_value(&mut it, "--nodes")?)?,
             "--min-qual" => {
-                min_qual = Some(
+                outputs.min_qual = Some(
                     take_value(&mut it, "--min-qual")?
                         .parse()
                         .map_err(|_| "bad quality threshold")?,
                 )
             }
-            "--fault-seed" => {
-                fault_seed = Some(
-                    take_value(&mut it, "--fault-seed")?
-                        .parse()
-                        .map_err(|_| "bad fault seed")?,
-                )
+            "--out" => outputs.out_path = Some(take_value(&mut it, "--out")?.to_string()),
+            "--spectrum" => {
+                outputs.spectrum_path = Some(take_value(&mut it, "--spectrum")?.to_string())
             }
-            "--fault-spec" => fault_spec = Some(take_value(&mut it, "--fault-spec")?.to_string()),
-            "--mem-seed" => {
-                mem_seed = Some(
-                    take_value(&mut it, "--mem-seed")?
-                        .parse()
-                        .map_err(|_| "bad mem seed")?,
-                )
+            "--trace" => outputs.trace_path = Some(take_value(&mut it, "--trace")?.to_string()),
+            "--metrics" => {
+                outputs.metrics_path = Some(take_value(&mut it, "--metrics")?.to_string())
             }
-            "--mem-spec" => mem_spec = Some(take_value(&mut it, "--mem-spec")?.to_string()),
-            "--rank-seed" => {
-                rank_seed = Some(
-                    take_value(&mut it, "--rank-seed")?
-                        .parse()
-                        .map_err(|_| "bad rank seed")?,
-                )
+            "--journal" => {
+                outputs.journal_path = Some(take_value(&mut it, "--journal")?.to_string())
             }
-            "--rank-spec" => rank_spec = Some(take_value(&mut it, "--rank-spec")?.to_string()),
-            "--two-pass" => {
-                rc.two_pass_dir = Some(std::path::PathBuf::from(take_value(&mut it, "--two-pass")?))
-            }
-            "--resume" => rc.two_pass_resume = true,
-            "--io-seed" => {
-                io_seed = Some(
-                    take_value(&mut it, "--io-seed")?
-                        .parse()
-                        .map_err(|_| "--io-seed: bad io seed")?,
-                )
-            }
-            "--io-spec" => io_spec = Some(take_value(&mut it, "--io-spec")?.to_string()),
-            "--min-count" => {
-                rc.min_count = take_value(&mut it, "--min-count")?
-                    .parse()
-                    .map_err(|_| "--min-count: bad count threshold")?
-            }
-            "--checkpoint-rounds" => {
-                rc.checkpoint_rounds = Some(
-                    take_value(&mut it, "--checkpoint-rounds")?
-                        .parse()
-                        .map_err(|_| "bad checkpoint cadence")?,
-                )
-            }
-            "--rescale" => {
-                rc.rescale = dedukt::core::config::parse_rescale(take_value(&mut it, "--rescale")?)?
-            }
-            "--table-safety" => {
-                rc.table_safety = take_value(&mut it, "--table-safety")?
-                    .parse()
-                    .map_err(|_| "bad table safety factor")?
-            }
-            "--device-hbm" => {
-                rc.gpu_device.memory_bytes = take_value(&mut it, "--device-hbm")?
-                    .parse()
-                    .map_err(|_| "bad device HBM byte count")?
-            }
-            "--out" => out_path = Some(take_value(&mut it, "--out")?.to_string()),
-            "--spectrum" => spectrum_path = Some(take_value(&mut it, "--spectrum")?.to_string()),
-            "--trace" => trace_path = Some(take_value(&mut it, "--trace")?.to_string()),
-            "--metrics" => metrics_path = Some(take_value(&mut it, "--metrics")?.to_string()),
-            "--journal" => journal_path = Some(take_value(&mut it, "--journal")?.to_string()),
             "--metrics-format" => {
-                metrics_format = match take_value(&mut it, "--metrics-format")? {
+                outputs.metrics_format = match take_value(&mut it, "--metrics-format")? {
                     "json" => MetricsFormat::Json,
                     "prom" => MetricsFormat::Prometheus,
                     other => return Err(format!("unknown metrics format {other:?}")),
                 }
             }
-            other => return Err(format!("unknown flag {other:?}")),
+            flag => rc.apply_flag(flag, &mut it)?,
         }
     }
-    // Either fault flag alone activates injection: a bare seed uses the
-    // default spec, a bare spec uses seed 0. Spec range errors surface
-    // later through `validate_for_width` as a ConfigError.
-    if fault_seed.is_some() || fault_spec.is_some() {
-        let spec = match &fault_spec {
-            Some(s) => dedukt::net::FaultSpec::parse(s)?,
-            None => dedukt::net::FaultSpec::default(),
-        };
-        rc.fault = Some(dedukt::net::FaultPlan::new(fault_seed.unwrap_or(0), spec));
-    }
-    // Same activation idiom for memory pressure: either flag opts in.
-    if mem_seed.is_some() || mem_spec.is_some() {
-        let spec = match &mem_spec {
-            Some(s) => dedukt::gpu::MemSpec::parse(s)?,
-            None => dedukt::gpu::MemSpec::default(),
-        };
-        rc.mem = Some(dedukt::gpu::MemPlan::new(mem_seed.unwrap_or(0), spec));
-    }
-    // And for whole-rank failure.
-    if rank_seed.is_some() || rank_spec.is_some() {
-        let spec = match &rank_spec {
-            Some(s) => dedukt::net::RankSpec::parse(s)?,
-            None => dedukt::net::RankSpec::default(),
-        };
-        rc.rank = Some(dedukt::net::RankPlan::new(rank_seed.unwrap_or(0), spec));
-    }
-    // And for storage faults on the two-pass bin store.
-    if io_seed.is_some() || io_spec.is_some() {
-        let spec = match &io_spec {
-            Some(s) => dedukt::store::IoSpec::parse(s).map_err(|e| format!("--io-spec: {e}"))?,
-            None => dedukt::store::IoSpec::default(),
-        };
-        rc.io = Some(dedukt::store::IoPlan::new(io_seed.unwrap_or(0), spec));
-    }
-    let outputs = CountOutputs {
-        out_path,
-        spectrum_path,
-        trace_path,
-        metrics_path,
-        journal_path,
-        metrics_format,
-        min_qual,
-    };
     // One staged driver, two key widths: k ≤ 31 packs into u64 words,
-    // k ≤ 63 into u128. Everything past the window clamp is identical —
-    // the width is a type parameter, not a separate pipeline.
+    // k ≤ 63 into u128 — the width is a type parameter, not a separate
+    // pipeline.
     if rc.counting.k <= 31 {
-        rc.counting.window = rc.counting.window.min(33 - rc.counting.k);
         count_with_width::<u64>(path, rc, outputs)
     } else {
-        if rc.counting.k <= 63 {
-            rc.counting.window = rc.counting.window.min(65 - rc.counting.k).max(1);
-        }
         count_with_width::<u128>(path, rc, outputs)
     }
 }

@@ -38,6 +38,25 @@ fn simulate_writes_parseable_fastq() {
 }
 
 #[test]
+fn non_positive_or_non_finite_scales_exit_two() {
+    let out_path = tmpdir("bad-scale").join("never.fastq");
+    for scale in ["x-1", "x0", "xnan", "xinf", "huge"] {
+        let out = dedukt()
+            .args(["simulate", "ecoli", "--scale", scale, "--out"])
+            .arg(&out_path)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "--scale {scale} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(scale),
+            "stderr must name {scale}:\n{stderr}"
+        );
+        assert!(!out_path.exists(), "--scale {scale} must write nothing");
+    }
+}
+
+#[test]
 fn count_produces_correct_dump_and_spectrum() {
     let dir = tmpdir("count");
     let fastq = dir.join("reads.fastq");
@@ -521,6 +540,28 @@ fn malformed_mem_specs_exit_two_and_oom_is_a_clean_failure() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
+    // So is a zero-byte device, before any run (a two-pass run would
+    // otherwise plan one bin per k-mer to fit it).
+    for extra in [&[][..], &["--two-pass", "store"]] {
+        let out = dedukt()
+            .args(["count"])
+            .arg(&fastq)
+            .args(["--device-hbm", "0"])
+            .args(extra)
+            .current_dir(&dir)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{extra:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("device memory budget must be positive"),
+            "{stderr}"
+        );
+        assert!(
+            !dir.join("store").exists(),
+            "no bin store for a rejected run"
+        );
+    }
     // An unsurvivable plan (every allocation denied, ten spilled k-mers
     // allowed) is a clean exit-2 `DeviceOom`, not a panic, and names
     // the exhausted budget.

@@ -37,9 +37,8 @@ proptest! {
         prop_assume!(m < k);
         let mode = [Mode::CpuBaseline, Mode::GpuKmer, Mode::GpuSupermer][mode_idx];
         let mut rc = RunConfig::new(mode, nodes);
-        rc.counting.k = k;
+        rc.counting.set_k(k);
         rc.counting.m = m;
-        rc.counting.window = (33 - k).min(15);
         rc.collect_tables = true;
         let report = pipeline::run(&reads, &rc).expect("valid config");
         prop_assert_eq!(report.total_kmers, verify::reference_total(&reads, k));

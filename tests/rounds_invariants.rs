@@ -30,21 +30,6 @@ fn run_w<K: PackedKmer>(
     pipeline::run_typed::<K>(reads, &rc).expect("valid config")
 }
 
-/// Probing layout (hence iteration order) depends on insertion order, so
-/// compare table *contents* per rank.
-fn sorted_tables<K: PackedKmer + Ord>(r: &RunReport<K>) -> Vec<Vec<(K, u32)>> {
-    r.tables
-        .as_ref()
-        .expect("tables collected")
-        .iter()
-        .map(|t| {
-            let mut t = t.clone();
-            t.sort_unstable();
-            t
-        })
-        .collect()
-}
-
 fn assert_same_counts<K: PackedKmer + Ord>(r: &RunReport<K>, baseline: &RunReport<K>, what: &str) {
     assert_eq!(r.total_kmers, baseline.total_kmers, "{what}: total");
     assert_eq!(
@@ -52,11 +37,7 @@ fn assert_same_counts<K: PackedKmer + Ord>(r: &RunReport<K>, baseline: &RunRepor
         "{what}: distinct"
     );
     assert_eq!(r.spectrum, baseline.spectrum, "{what}: spectrum");
-    assert_eq!(
-        sorted_tables(r),
-        sorted_tables(baseline),
-        "{what}: per-rank tables"
-    );
+    assert_eq!(r.tables, baseline.tables, "{what}: per-rank tables");
     assert_eq!(r.exchange.bytes, baseline.exchange.bytes, "{what}: volume");
 }
 
@@ -169,7 +150,7 @@ fn wide_rounds_and_overlap_change_time_not_results() {
             baseline.exchange.rounds, 1,
             "{mode:?}: unlimited is 1 round"
         );
-        let mut merged: Vec<(u128, u32)> = sorted_tables(&baseline).concat();
+        let mut merged: Vec<(u128, u32)> = baseline.tables.clone().expect("collected").concat();
         merged.sort_unstable();
         assert_eq!(merged, oracle, "{mode:?}: baseline vs wide oracle");
 
