@@ -63,9 +63,7 @@ fn main() {
             };
             t.row([
                 format!("{mode:?} ({} ranks)", r.nranks),
-                dedukt_net::ExchangeRoute::from_algo(algo)
-                    .label()
-                    .to_string(),
+                algo.label().to_string(),
                 format!("{msgs}"),
                 format!("{}", DataVolume::from_bytes(r.exchange.off_node_bytes)),
                 format!("{}", DataVolume::from_bytes(r.exchange.intra_tier_bytes)),

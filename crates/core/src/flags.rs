@@ -16,7 +16,8 @@ use std::path::PathBuf;
 use std::str::FromStr;
 
 use dedukt_gpu::{MemPlan, MemSpec};
-use dedukt_net::{ExchangeRoute, FaultPlan, FaultSpec, RankPlan, RankSpec};
+use dedukt_net::cost::ExchangeAlgo;
+use dedukt_net::{FaultPlan, FaultSpec, RankPlan, RankSpec};
 use dedukt_store::{IoPlan, IoSpec};
 
 use crate::config::RunConfig;
@@ -46,7 +47,7 @@ pub const RUN_FLAGS: &[(&str, &str, Setter)] = &[
         Ok(())
     }),
     ("--exchange-algo", "direct|hierarchical", |rc, v| {
-        ExchangeRoute::parse(v).map(|r| rc.exchange_algo = r.algo())
+        ExchangeAlgo::parse(v).map(|a| rc.exchange_algo = a)
     }),
     ("--wire-compress", "", |rc, _| {
         rc.wire_compress = true;
@@ -216,7 +217,6 @@ fn parse_rescale(s: &str) -> Result<Vec<(u64, usize)>, String> {
 mod tests {
     use super::*;
     use crate::Mode;
-    use dedukt_net::cost::ExchangeAlgo;
 
     fn parsed(args: &[&str]) -> Result<RunConfig, String> {
         let mut rc = RunConfig::new(Mode::GpuKmer, 1);

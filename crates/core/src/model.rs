@@ -11,7 +11,7 @@
 //!   `k (s − k + 1) / s` — the exact form of the paper's worked example
 //!   (k = 8, s = 11 → 2.9×). The paper's §IV-D prose abbreviates this as
 //!   "≈ (s − k)×", which reads as a typo; the worked example and Fig. 4
-//!   arithmetic match the exact form implemented here.
+//!   arithmetic match the exact form.
 
 /// Inputs to the §IV-D model.
 #[derive(Clone, Copy, Debug)]
@@ -22,8 +22,6 @@ pub struct CommModel {
     pub avg_read_len: f64,
     /// k-mer length (`k`).
     pub k: f64,
-    /// Number of processors (`P`).
-    pub p: f64,
 }
 
 impl CommModel {
@@ -37,26 +35,6 @@ impl CommModel {
     pub fn total_supermers(&self, s: f64) -> f64 {
         assert!(s >= self.k);
         self.total_kmers() / (s - self.k + 1.0)
-    }
-
-    /// Per-processor k-mer exchange volume in *bases*:
-    /// `(P−1)/P × K/P × k`.
-    pub fn per_proc_kmer_bases(&self) -> f64 {
-        let k_total = self.total_kmers();
-        (self.p - 1.0) / self.p * (k_total / self.p) * self.k
-    }
-
-    /// Per-processor supermer exchange volume in *bases* for average
-    /// supermer length `s`: `(P−1)/P × S/P × s`.
-    pub fn per_proc_supermer_bases(&self, s: f64) -> f64 {
-        let s_total = self.total_supermers(s);
-        (self.p - 1.0) / self.p * (s_total / self.p) * s
-    }
-
-    /// Exact communication reduction factor of supermers over k-mers in
-    /// bases: `k (s − k + 1) / s`.
-    pub fn reduction_factor(&self, s: f64) -> f64 {
-        self.k * (s - self.k + 1.0) / s
     }
 }
 
@@ -77,7 +55,6 @@ mod tests {
             total_bases: 19.0,
             avg_read_len: 19.0,
             k: 8.0,
-            p: 2.0,
         }
     }
 
@@ -88,31 +65,10 @@ mod tests {
     }
 
     #[test]
-    fn worked_example_reduction() {
-        // s = 11 → reduction k(s−k+1)/s = 8×4/11 ≈ 2.909 — the paper's
-        // "2.9×" (§IV-A) and "2.90×" (§IV-D).
-        let r = paper_example().reduction_factor(11.0);
-        assert!((r - 2.909).abs() < 0.001, "reduction {r}");
-    }
-
-    #[test]
     fn worked_example_supermer_count() {
         // 12 k-mers at s = 11 → 12/4 = 3 supermers, matching Fig. 4.
         let s = paper_example().total_supermers(11.0);
         assert!((s - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn volume_ratio_equals_reduction_factor() {
-        let m = CommModel {
-            total_bases: 1e9,
-            avg_read_len: 8000.0,
-            k: 17.0,
-            p: 384.0,
-        };
-        let s = 28.0;
-        let ratio = m.per_proc_kmer_bases() / m.per_proc_supermer_bases(s);
-        assert!((ratio - m.reduction_factor(s)).abs() / ratio < 1e-9);
     }
 
     #[test]
@@ -124,21 +80,5 @@ mod tests {
         // And H. sapiens: 167B k-mers, 50B supermers → s ≈ 19.3.
         let s = avg_supermer_len(167e9, 50e9, 17.0);
         assert!((19.0..20.0).contains(&s), "avg supermer len {s}");
-    }
-
-    #[test]
-    fn more_processors_less_per_proc_volume() {
-        let mut m = paper_example();
-        m.total_bases = 1e8;
-        m.avg_read_len = 1000.0;
-        let v96 = {
-            m.p = 96.0;
-            m.per_proc_kmer_bases()
-        };
-        let v384 = {
-            m.p = 384.0;
-            m.per_proc_kmer_bases()
-        };
-        assert!(v384 < v96 / 3.0);
     }
 }

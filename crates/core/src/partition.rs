@@ -102,11 +102,6 @@ impl BalancedAssignment {
             None => minimizer_owner(&self.hasher, mmer, self.nranks),
         }
     }
-
-    /// Number of explicitly assigned minimizer buckets.
-    pub fn assigned_buckets(&self) -> usize {
-        self.map.len()
-    }
 }
 
 #[cfg(test)]
@@ -166,7 +161,7 @@ mod tests {
         for m in 0..100u64 {
             assert_eq!(a.owner(m), b.owner(m));
         }
-        assert_eq!(a.assigned_buckets(), 100);
+        assert_eq!(a.map.len(), 100);
     }
 
     #[test]

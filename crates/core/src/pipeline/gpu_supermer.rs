@@ -438,13 +438,6 @@ impl<K: PackedKmer> CounterStages for SupermerStages<K> {
     }
 }
 
-/// Runs the GPU supermer counter at the narrow (`u64`) key width.
-/// Panics on an invalid configuration or an unsurvivable fault plan;
-/// use [`crate::pipeline::run`] for the fallible entry point.
-pub fn run_gpu_supermer(reads: &ReadSet, rc: &RunConfig) -> RunReport {
-    run_gpu_supermer_typed::<u64>(reads, rc).expect("run failed")
-}
-
 /// Runs the GPU supermer counter at an explicit key width.
 pub fn run_gpu_supermer_typed<K: PackedKmer>(
     reads: &ReadSet,
@@ -483,7 +476,7 @@ mod tests {
     #[test]
     fn counts_match_oracle() {
         let (reads, rc) = tiny(1);
-        let report = run_gpu_supermer(&reads, &rc);
+        let report = run_gpu_supermer_typed::<u64>(&reads, &rc).unwrap();
         assert_eq!(report.total_kmers, reference_total(&reads, rc.counting.k));
         check_against_reference(&reads, &rc.counting, report.tables.as_ref().unwrap()).unwrap();
     }
@@ -491,14 +484,14 @@ mod tests {
     #[test]
     fn counts_match_oracle_multi_node() {
         let (reads, rc) = tiny(2);
-        let report = run_gpu_supermer(&reads, &rc);
+        let report = run_gpu_supermer_typed::<u64>(&reads, &rc).unwrap();
         check_against_reference(&reads, &rc.counting, report.tables.as_ref().unwrap()).unwrap();
     }
 
     #[test]
     fn agrees_with_kmer_pipeline() {
         let (reads, rc) = tiny(1);
-        let sm = run_gpu_supermer(&reads, &rc);
+        let sm = run_gpu_supermer_typed::<u64>(&reads, &rc).unwrap();
         let mut rck = rc.clone();
         rck.mode = Mode::GpuKmer;
         let km = crate::pipeline::gpu_kmer::run_gpu_kmer(&reads, &rck);
@@ -511,7 +504,7 @@ mod tests {
         // Table II's claim: supermers cut exchanged units ~3-4× and bytes
         // accordingly (9 B per supermer vs 8 B per k-mer).
         let (reads, rc) = tiny(1);
-        let sm = run_gpu_supermer(&reads, &rc);
+        let sm = run_gpu_supermer_typed::<u64>(&reads, &rc).unwrap();
         let mut rck = rc.clone();
         rck.mode = Mode::GpuKmer;
         let km = crate::pipeline::gpu_kmer::run_gpu_kmer(&reads, &rck);
@@ -529,7 +522,7 @@ mod tests {
     fn supermer_compute_is_slower_but_exchange_faster() {
         // §V-C's trade-off, at matched node count.
         let (reads, rc) = tiny(1);
-        let sm = run_gpu_supermer(&reads, &rc);
+        let sm = run_gpu_supermer_typed::<u64>(&reads, &rc).unwrap();
         let mut rck = rc.clone();
         rck.mode = Mode::GpuKmer;
         let km = crate::pipeline::gpu_kmer::run_gpu_kmer(&reads, &rck);
@@ -553,7 +546,7 @@ mod tests {
     fn supermer_load_is_more_imbalanced_than_kmer_load() {
         // Table III: minimizer-based routing skews per-rank loads.
         let (reads, rc) = tiny(2); // 12 ranks
-        let sm = run_gpu_supermer(&reads, &rc);
+        let sm = run_gpu_supermer_typed::<u64>(&reads, &rc).unwrap();
         let mut rck = rc.clone();
         rck.mode = Mode::GpuKmer;
         let km = crate::pipeline::gpu_kmer::run_gpu_kmer(&reads, &rck);
@@ -568,10 +561,10 @@ mod tests {
     #[test]
     fn wire_compression_preserves_counts_and_shrinks_the_wire() {
         let (reads, rc) = tiny(2);
-        let flat = run_gpu_supermer(&reads, &rc);
+        let flat = run_gpu_supermer_typed::<u64>(&reads, &rc).unwrap();
         let mut rcc = rc.clone();
         rcc.wire_compress = true;
-        let packed = run_gpu_supermer(&reads, &rcc);
+        let packed = run_gpu_supermer_typed::<u64>(&reads, &rcc).unwrap();
         // Bit-identical functional results: the codec only changes what
         // the wire carries, never what arrives.
         assert_eq!(packed.total_kmers, flat.total_kmers);
@@ -599,7 +592,7 @@ mod tests {
     fn canonical_mode_is_rejected() {
         let (reads, mut rc) = tiny(1);
         rc.counting.canonical = true;
-        run_gpu_supermer(&reads, &rc);
+        let _ = run_gpu_supermer_typed::<u64>(&reads, &rc);
     }
 
     #[test]
@@ -609,10 +602,10 @@ mod tests {
         let reads = Dataset::new(DatasetId::CElegans40x, ScalePreset::Tiny).generate();
         let mut rc = RunConfig::new(Mode::GpuSupermer, 4);
         rc.collect_tables = true;
-        let hashed = run_gpu_supermer(&reads, &rc);
+        let hashed = run_gpu_supermer_typed::<u64>(&reads, &rc).unwrap();
         rc.balanced_minimizers = true;
         rc.balance_sample_fraction = 0.25;
-        let balanced = run_gpu_supermer(&reads, &rc);
+        let balanced = run_gpu_supermer_typed::<u64>(&reads, &rc).unwrap();
         assert_eq!(balanced.total_kmers, hashed.total_kmers);
         assert_eq!(balanced.distinct_kmers, hashed.distinct_kmers);
         crate::verify::check_against_reference(

@@ -57,7 +57,10 @@ pub struct RunReport<K: TableKey = u64> {
     /// [`dedukt_sim::trace::write_chrome_trace_with`].
     pub trace_counters: Option<Vec<dedukt_sim::TraceCounter>>,
     /// Run-wide telemetry snapshot, if requested
-    /// ([`crate::config::RunConfig::collect_metrics`]).
+    /// ([`crate::config::RunConfig::collect_metrics`]). Identical runs
+    /// give identical snapshots except the two declared nondeterministic
+    /// series: `wall_seconds:*` and the GPU engines' `count_probe_steps`
+    /// histograms, which depend on which thread claimed a slot first.
     pub metrics: Option<dedukt_sim::MetricsSnapshot>,
     /// Real host wall-clock seconds per driver stage — always measured,
     /// and the report's only nondeterministic numbers (they time this

@@ -39,7 +39,10 @@ impl PhaseBreakdown {
 /// these are nondeterministic (they measure this process on this
 /// machine); they feed the journal's `wall` events, the
 /// `wall_seconds:*` metrics gauges, and the bench harness's wall-clock
-/// lane.
+/// lane. The metrics export declares exactly two nondeterministic
+/// series: `wall_seconds:*` and the GPU engines' per-rank
+/// `count_probe_steps` histograms (slot-claim order between threads);
+/// `tests/metrics_schema.rs` pins that set.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct WallClock {
     /// Pre-pass plus bucketing compute (host side of the parse phase).

@@ -50,10 +50,6 @@ pub struct SupermerW<W: KmerWord> {
 pub type Supermer = SupermerW<u64>;
 
 impl<W: KmerWord> SupermerW<W> {
-    /// Bytes this supermer occupies on the wire (packed word + length
-    /// byte): 9 narrow, 17 wide.
-    pub const WIRE_BYTES: u64 = W::WORD_BYTES as u64 + 1;
-
     /// Number of k-mers packed inside, for k-mer length `k`.
     #[inline]
     pub fn num_kmers(&self, k: usize) -> usize {
@@ -422,13 +418,6 @@ mod tests {
             let sc = sm.codes(s.encoding);
             assert!(read.windows(sc.len()).any(|w| w == &sc[..]));
         }
-    }
-
-    #[test]
-    fn wire_bytes_constant_matches_paper() {
-        // 8-byte packed word + 1 length byte (§V-D); 16 + 1 wide.
-        assert_eq!(Supermer::WIRE_BYTES, 9);
-        assert_eq!(SupermerW::<u128>::WIRE_BYTES, 17);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! FASTQ and FASTA parsing and writing.
+//! FASTQ parsing and writing.
 //!
 //! The paper's datasets are FASTQ files (Table I sizes are `.fastq` sizes).
 //! The parsers here are deliberately strict about record structure but
@@ -10,7 +10,7 @@ use crate::base::{ascii_to_fragments, Base};
 use crate::read::{Read, ReadSet};
 use std::io::{self, BufRead, Write};
 
-/// Errors from FASTQ/FASTA parsing.
+/// Errors from FASTQ parsing.
 #[derive(Debug)]
 pub enum ParseError {
     /// Underlying IO failure.
@@ -98,48 +98,7 @@ pub fn parse_fastq<R: BufRead>(reader: R, min_fragment: usize) -> Result<ReadSet
                 ),
             });
         }
-        push_sequence(
-            &mut out,
-            &id,
-            seq.as_bytes(),
-            Some(qual.as_bytes()),
-            min_fragment,
-        );
-    }
-    Ok(out)
-}
-
-/// Parses FASTA from a buffered reader, splitting on ambiguous bases like
-/// [`parse_fastq`]. Multi-line sequences are supported.
-pub fn parse_fasta<R: BufRead>(reader: R, min_fragment: usize) -> Result<ReadSet, ParseError> {
-    let mut out = ReadSet::new();
-    let mut id: Option<String> = None;
-    let mut seq: Vec<u8> = Vec::new();
-    let mut first_content_line = true;
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('>') {
-            if let Some(prev) = id.take() {
-                push_sequence(&mut out, &prev, &seq, None, min_fragment);
-                seq.clear();
-            }
-            id = Some(rest.split_whitespace().next().unwrap_or("").to_string());
-            first_content_line = false;
-        } else {
-            if first_content_line {
-                return Err(ParseError::Malformed {
-                    line: i + 1,
-                    reason: "sequence data before any '>' header".into(),
-                });
-            }
-            seq.extend_from_slice(line.as_bytes());
-        }
-    }
-    if let Some(prev) = id.take() {
-        push_sequence(&mut out, &prev, &seq, None, min_fragment);
+        push_sequence(&mut out, &id, seq.as_bytes(), qual.as_bytes(), min_fragment);
     }
     Ok(out)
 }
@@ -147,13 +106,7 @@ pub fn parse_fasta<R: BufRead>(reader: R, min_fragment: usize) -> Result<ReadSet
 /// Appends `seq` to `out`, splitting at ambiguous bases. A clean sequence
 /// keeps its quality string; fragments drop qualities (their alignment to
 /// the fragment is gone anyway once positions shift).
-fn push_sequence(
-    out: &mut ReadSet,
-    id: &str,
-    seq: &[u8],
-    qual: Option<&[u8]>,
-    min_fragment: usize,
-) {
+fn push_sequence(out: &mut ReadSet, id: &str, seq: &[u8], qual: &[u8], min_fragment: usize) {
     let is_clean = seq.iter().all(|&c| Base::from_ascii(c).is_some());
     if is_clean {
         if seq.len() >= min_fragment {
@@ -164,7 +117,7 @@ fn push_sequence(
             out.reads.push(Read {
                 id: id.to_string(),
                 codes,
-                quals: qual.map(|q| q.to_vec()),
+                quals: Some(qual.to_vec()),
             });
         }
         return;
@@ -193,19 +146,6 @@ pub fn write_fastq<W: Write>(w: &mut W, reads: &ReadSet) -> io::Result<()> {
             None => w.write_all(&vec![b'I'; r.len()])?,
         }
         writeln!(w)?;
-    }
-    Ok(())
-}
-
-/// Writes a read set as FASTA with 80-column wrapping.
-pub fn write_fasta<W: Write>(w: &mut W, reads: &ReadSet) -> io::Result<()> {
-    for r in &reads.reads {
-        writeln!(w, ">{}", r.id)?;
-        let ascii = r.to_ascii();
-        for chunk in ascii.as_bytes().chunks(80) {
-            w.write_all(chunk)?;
-            writeln!(w)?;
-        }
     }
     Ok(())
 }
@@ -261,34 +201,5 @@ mod tests {
         write_fastq(&mut buf, &rs).unwrap();
         let rs2 = parse_fastq(BufReader::new(&buf[..]), 1).unwrap();
         assert_eq!(rs, rs2);
-    }
-
-    #[test]
-    fn parses_multiline_fasta() {
-        let txt = ">chr1 description\nACGTACGT\nGGGG\n>chr2\nTTTT\n";
-        let rs = parse_fasta(BufReader::new(txt.as_bytes()), 1).unwrap();
-        assert_eq!(rs.len(), 2);
-        assert_eq!(rs.reads[0].id, "chr1");
-        assert_eq!(rs.reads[0].to_ascii(), "ACGTACGTGGGG");
-        assert_eq!(rs.reads[1].to_ascii(), "TTTT");
-    }
-
-    #[test]
-    fn fasta_rejects_headerless_data() {
-        assert!(parse_fasta(BufReader::new(&b"ACGT\n"[..]), 1).is_err());
-    }
-
-    #[test]
-    fn fasta_write_wraps_lines() {
-        let rs: ReadSet = [Read::from_ascii("long", &[b'A'; 200]).unwrap()]
-            .into_iter()
-            .collect();
-        let mut buf = Vec::new();
-        write_fasta(&mut buf, &rs).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let max_line = text.lines().map(str::len).max().unwrap();
-        assert!(max_line <= 80);
-        let rs2 = parse_fasta(BufReader::new(text.as_bytes()), 1).unwrap();
-        assert_eq!(rs2.reads[0].to_ascii(), "A".repeat(200));
     }
 }

@@ -9,7 +9,7 @@
 //!   with rolling extension, reverse complement and canonicalization.
 //! * [`packed`] — 2-bit packed base arrays (the "one long array of bases"
 //!   the GPU pipeline concatenates reads into, §III-B1).
-//! * [`read`] / [`fastq`] — reads and FASTQ/FASTA parsing and writing.
+//! * [`read`] / [`fastq`] — reads and FASTQ parsing and writing.
 //! * [`sim`] — deterministic synthetic genome and long-read simulators.
 //! * [`datasets`] — the Table I dataset catalog, re-scaled for a single
 //!   host (see DESIGN.md §2 for the substitution rationale).

@@ -125,11 +125,6 @@ impl PackedSeq {
     pub fn to_codes(&self) -> Vec<u8> {
         (0..self.len).map(|i| self.code(i)).collect()
     }
-
-    /// Iterates base codes.
-    pub fn iter_codes(&self) -> impl Iterator<Item = u8> + '_ {
-        (0..self.len).map(move |i| self.code(i))
-    }
 }
 
 /// A batch of reads concatenated into one packed base array with explicit
@@ -260,13 +255,5 @@ mod tests {
         assert_eq!(c.num_kmers(3), 6);
         assert_eq!(c.num_kmers(8), 1);
         assert_eq!(c.num_kmers(9), 0);
-    }
-
-    #[test]
-    fn iter_codes_matches_to_codes() {
-        let cs = codes(b"ACGTTGCA");
-        let p = PackedSeq::from_codes(&cs, Encoding::PaperRandom);
-        let collected: Vec<u8> = p.iter_codes().collect();
-        assert_eq!(collected, cs);
     }
 }

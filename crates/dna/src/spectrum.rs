@@ -53,11 +53,6 @@ impl Spectrum {
         self.counts.get(&1).copied().unwrap_or(0)
     }
 
-    /// Largest multiplicity observed (0 for an empty spectrum).
-    pub fn max_multiplicity(&self) -> u32 {
-        self.counts.keys().next_back().copied().unwrap_or(0)
-    }
-
     /// Iterates `(multiplicity, distinct k-mers)` in increasing
     /// multiplicity.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
@@ -85,7 +80,6 @@ mod tests {
         assert_eq!(s.distinct(), 4);
         assert_eq!(s.total(), 8);
         assert_eq!(s.singletons(), 3);
-        assert_eq!(s.max_multiplicity(), 5);
     }
 
     #[test]
@@ -100,7 +94,6 @@ mod tests {
         let s = Spectrum::new();
         assert_eq!(s.distinct(), 0);
         assert_eq!(s.total(), 0);
-        assert_eq!(s.max_multiplicity(), 0);
     }
 
     #[test]

@@ -123,19 +123,6 @@ impl Device {
         })
     }
 
-    /// Allocates a buffer initialised from a host slice (the functional
-    /// half of a host→device copy; the *cost* of the copy is charged
-    /// separately via [`crate::transfer`]).
-    pub fn alloc_from_slice<T: Clone>(&self, src: &[T]) -> Result<DeviceBuffer<T>, OomError> {
-        let bytes = std::mem::size_of_val(src) as u64;
-        self.inner.try_reserve(bytes)?;
-        Ok(DeviceBuffer {
-            data: src.to_vec(),
-            bytes,
-            device: Arc::clone(&self.inner),
-        })
-    }
-
     /// Allocates a zeroed buffer of `len` 64-bit atomics.
     pub fn alloc_atomic(&self, len: usize) -> Result<AtomicBuffer, OomError> {
         let bytes = (len * 8) as u64;
@@ -184,15 +171,6 @@ pub struct DeviceBuffer<T> {
     data: Vec<T>,
     bytes: u64,
     device: Arc<DeviceInner>,
-}
-
-impl<T> DeviceBuffer<T> {
-    /// Moves the contents back to the host, releasing device memory.
-    /// (The transfer *cost* is charged separately via [`crate::transfer`].)
-    pub fn into_host(mut self) -> Vec<T> {
-        std::mem::take(&mut self.data)
-        // Drop impl releases the byte accounting.
-    }
 }
 
 impl<T> Deref for DeviceBuffer<T> {
@@ -422,15 +400,6 @@ mod tests {
         assert_eq!(d.allocated_bytes(), 0); // rollback happened
                                             // A fitting allocation still works afterwards.
         assert!(d.alloc_zeroed::<u8>(100).is_ok());
-    }
-
-    #[test]
-    fn from_slice_roundtrip() {
-        let d = small_device(4096);
-        let buf = d.alloc_from_slice(&[1u32, 2, 3]).unwrap();
-        assert_eq!(&*buf, &[1, 2, 3]);
-        assert_eq!(buf.into_host(), vec![1, 2, 3]);
-        assert_eq!(d.allocated_bytes(), 0);
     }
 
     #[test]

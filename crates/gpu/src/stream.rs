@@ -53,16 +53,6 @@ impl Stream {
         self.clock.now()
     }
 
-    /// Records a completed transfer; advances the clock by its duration.
-    pub fn record_transfer(&mut self, name: &str, time: SimTime) -> SimTime {
-        self.clock.advance(time);
-        self.trace.push(StreamEvent::Transfer {
-            name: name.to_string(),
-            time,
-        });
-        self.clock.now()
-    }
-
     /// Current simulated stream time.
     pub fn now(&self) -> SimTime {
         self.clock.now()
@@ -80,16 +70,6 @@ impl Stream {
             .filter(|e| matches!(e, StreamEvent::Kernel(_)))
             .map(StreamEvent::time)
             .sum()
-    }
-
-    /// Per-kernel durations in launch order — the round-by-round count
-    /// kernel times the overlapped exchange hides behind the wire.
-    pub fn kernel_times(&self) -> Vec<SimTime> {
-        self.trace
-            .iter()
-            .filter(|e| matches!(e, StreamEvent::Kernel(_)))
-            .map(StreamEvent::time)
-            .collect()
     }
 
     /// Sum of transfer durations in the trace.
@@ -123,12 +103,16 @@ mod tests {
         });
         let t_kernel = r.time;
         s.record_kernel(r);
-        s.record_transfer("d2h", SimTime::from_millis(2.0));
+        // A completed 2 ms device-to-host transfer.
+        s.clock.advance(SimTime::from_millis(2.0));
+        s.trace.push(StreamEvent::Transfer {
+            name: "d2h".to_string(),
+            time: SimTime::from_millis(2.0),
+        });
         assert_eq!(s.now(), t_kernel + SimTime::from_millis(2.0));
         assert_eq!(s.trace().len(), 2);
         assert_eq!(s.kernel_time(), t_kernel);
         assert_eq!(s.transfer_time(), SimTime::from_millis(2.0));
-        assert_eq!(s.kernel_times(), vec![t_kernel]);
     }
 
     #[test]

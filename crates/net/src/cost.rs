@@ -16,21 +16,80 @@
 //! Per-rank completion times are returned; bulk-synchronous callers take
 //! the max.
 
+use crate::fault::{BucketFate, FaultPlan};
 use crate::topology::Topology;
 use dedukt_sim::{Rate, SimTime};
 
-/// How the personalized all-to-all is routed.
+/// How the personalized all-to-all is routed. One knob decides both the
+/// price ([`Network::alltoallv_times`]) and the payload path the BSP
+/// engine accounts for, so the clocks and the byte tiers always agree.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ExchangeAlgo {
     /// Every rank messages every other rank directly — `P − 1` messages
-    /// per rank, the default `MPI_Alltoallv` shape.
+    /// per rank, the default `MPI_Alltoallv` shape (§III-B). CLI name
+    /// `direct`.
     Direct,
-    /// Node-aggregated: ranks combine per-node payloads on-node first, a
-    /// leader exchanges `nodes − 1` node-to-node messages, and results
-    /// scatter on-node. Trades intra-node gather/scatter bandwidth for a
-    /// `ranks/node ×` reduction in message count — the optimization
-    /// direction of Pan et al. (SC'18), cited by the paper's §VI.
+    /// Node-aggregated (hierarchical): ranks gather per-node payloads to
+    /// the node's leader over the intra-node tier, leaders exchange one
+    /// coalesced frame per `(node, node)` pair over the injection tier,
+    /// and the receiving leader scatters buckets to their final ranks.
+    /// Trades intra-node gather/scatter bandwidth for a `ranks/node ×`
+    /// reduction in message count — the optimization direction of Pan
+    /// et al. (SC'18), cited by the paper's §VI. Delivered payloads are
+    /// identical to `Direct`; only the per-tier byte accounting and the
+    /// fault granularity change. CLI name `hierarchical`.
     NodeAggregated,
+}
+
+impl ExchangeAlgo {
+    /// Parses a CLI-facing name (`direct` | `hierarchical`).
+    pub fn parse(s: &str) -> Result<ExchangeAlgo, String> {
+        match s {
+            "direct" => Ok(ExchangeAlgo::Direct),
+            "hierarchical" => Ok(ExchangeAlgo::NodeAggregated),
+            other => Err(format!(
+                "unknown exchange algorithm `{other}` (expected `direct` or `hierarchical`)"
+            )),
+        }
+    }
+
+    /// Stable lowercase label (journal detail, bench reports); the
+    /// inverse of [`ExchangeAlgo::parse`].
+    pub fn label(self) -> &'static str {
+        match self {
+            ExchangeAlgo::Direct => "direct",
+            ExchangeAlgo::NodeAggregated => "hierarchical",
+        }
+    }
+
+    /// The fate of the `(src, dst)` bucket at `(round, attempt)` under
+    /// this routing (DESIGN.md §10).
+    ///
+    /// `Direct` draws one fate per rank pair. Under `NodeAggregated`, a
+    /// bucket whose endpoints share a node never leaves the intra-node
+    /// tier and keeps its per-bucket fate; a cross-node bucket travels
+    /// inside the `(node, node)` coalesced frame, so its fate is the
+    /// *frame's*, drawn at node coordinates offset by `nranks` (fault
+    /// schedules hash raw coordinates, so offsetting by the rank count
+    /// keeps frame draws disjoint from every per-rank draw without
+    /// touching the fault engine). All buckets of a frame fail or
+    /// deliver together, and a retry resends only the failed frames.
+    pub fn bucket_fate(
+        self,
+        plan: &FaultPlan,
+        topo: &Topology,
+        round: u64,
+        attempt: u32,
+        src: usize,
+        dst: usize,
+    ) -> BucketFate {
+        if self == ExchangeAlgo::Direct || topo.same_node(src, dst) {
+            plan.bucket_fate(round, attempt, src, dst)
+        } else {
+            let p = topo.nranks();
+            plan.bucket_fate(round, attempt, p + topo.node_of(src), p + topo.node_of(dst))
+        }
+    }
 }
 
 /// Network performance parameters.
@@ -254,6 +313,61 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultSpec;
+
+    #[test]
+    fn parse_accepts_both_names_and_rejects_garbage() {
+        assert_eq!(ExchangeAlgo::parse("direct"), Ok(ExchangeAlgo::Direct));
+        assert_eq!(
+            ExchangeAlgo::parse("hierarchical"),
+            Ok(ExchangeAlgo::NodeAggregated)
+        );
+        assert!(ExchangeAlgo::parse("fancy").unwrap_err().contains("fancy"));
+        assert_eq!(ExchangeAlgo::Direct.label(), "direct");
+        assert_eq!(ExchangeAlgo::NodeAggregated.label(), "hierarchical");
+    }
+
+    #[test]
+    fn hierarchical_fates_are_shared_per_frame() {
+        let topo = Topology::new(3, 4); // 12 ranks
+        let plan = FaultPlan::new(42, FaultSpec::parse("fail=0.5,corrupt=0.2").unwrap());
+        let algo = ExchangeAlgo::NodeAggregated;
+        // Every cross-node (src, dst) pair with the same (node, node)
+        // coordinates draws the same fate — the frame's.
+        for src_node in 0..3 {
+            for dst_node in 0..3 {
+                if src_node == dst_node {
+                    continue;
+                }
+                let fates: Vec<_> = topo
+                    .ranks_of(src_node)
+                    .flat_map(|s| {
+                        topo.ranks_of(dst_node)
+                            .map(move |d| algo.bucket_fate(&plan, &topo, 3, 1, s, d))
+                    })
+                    .collect();
+                assert!(
+                    fates.windows(2).all(|w| w[0] == w[1]),
+                    "frame ({src_node},{dst_node}) fates must agree: {fates:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn same_node_fates_match_direct() {
+        let topo = Topology::new(2, 6);
+        let plan = FaultPlan::new(7, FaultSpec::parse("fail=0.4").unwrap());
+        for src in 0..6 {
+            for dst in 0..6 {
+                assert_eq!(
+                    ExchangeAlgo::NodeAggregated.bucket_fate(&plan, &topo, 0, 0, src, dst),
+                    ExchangeAlgo::Direct.bucket_fate(&plan, &topo, 0, 0, src, dst),
+                    "intra-node buckets keep their per-bucket fate"
+                );
+            }
+        }
+    }
 
     fn uniform_matrix(p: usize, bytes: u64) -> Vec<Vec<u64>> {
         vec![vec![bytes; p]; p]

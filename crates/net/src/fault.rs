@@ -4,10 +4,10 @@
 //! — `(round, attempt, src, dst)` for bucket fates, `(step, rank)` for
 //! stragglers — to a fault decision, built on the stateless
 //! [`dedukt_sim::rng::mix_coords`] hash. Because the plan carries no
-//! mutable state, the BSP executor and the threaded engine (where both
-//! endpoints of a channel evaluate the plan independently, without ACK
-//! traffic) derive **identical** fault schedules, and retries draw fresh,
-//! reproducible fates simply by bumping the attempt coordinate.
+//! mutable state, both endpoints of a bucket can evaluate it independently,
+//! without ACK traffic, and derive **identical** fault schedules; retries
+//! draw fresh, reproducible fates simply by bumping the attempt
+//! coordinate, so a bucket's retry count is known in closed form.
 //!
 //! Three fault kinds are modelled (DESIGN.md §7):
 //!
@@ -149,8 +149,9 @@ impl FaultSpec {
 
     /// Is this spec semantically empty — valid, but incapable of ever
     /// producing a fault event? Such plans are normalized away before a
-    /// run so both engines treat `--fault-spec fail=0,corrupt=0,straggle=0`
-    /// exactly like an absent plan.
+    /// run so every counting engine treats
+    /// `--fault-spec fail=0,corrupt=0,straggle=0` exactly like an absent
+    /// plan.
     pub fn is_noop(&self) -> bool {
         self.fail_rate == 0.0 && self.corrupt_rate == 0.0 && self.straggle_rate == 0.0
     }
@@ -288,8 +289,8 @@ impl RankSpec {
 
     /// Is this spec semantically empty — valid, but incapable of ever
     /// killing a rank? Such plans are normalized away before a run so
-    /// both engines treat `--rank-spec rate=0` exactly like an absent
-    /// plan.
+    /// every counting engine treats `--rank-spec rate=0` exactly like an
+    /// absent plan.
     pub fn is_noop(&self) -> bool {
         self.rate == 0.0 && self.kill.is_empty()
     }

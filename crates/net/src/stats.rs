@@ -1,8 +1,6 @@
 //! Communication statistics: the exact byte and message counts behind the
 //! paper's Table II.
 
-use dedukt_sim::DistStats;
-
 /// Accumulated statistics over one or more collectives.
 #[derive(Clone, Debug, Default)]
 pub struct CommStats {
@@ -73,11 +71,6 @@ impl CommStats {
         }
     }
 
-    /// Distribution of per-rank sent bytes.
-    pub fn send_distribution(&self) -> Option<DistStats> {
-        DistStats::from_loads(&self.sent_by_rank)
-    }
-
     /// Merges another set of statistics (e.g. from a second phase).
     pub fn merge(&mut self, other: &CommStats) {
         assert_eq!(self.sent_by_rank.len(), other.sent_by_rank.len());
@@ -145,14 +138,5 @@ mod tests {
         assert_eq!(a.intra_tier_bytes, 10);
         assert_eq!(a.coalesced_messages, 3);
         assert_eq!(a.sent_by_rank, vec![6, 7]);
-    }
-
-    #[test]
-    fn send_distribution_reports_imbalance() {
-        let mut s = CommStats::new(2);
-        s.record_alltoallv(&[vec![0, 30], vec![10, 0]], |_| 0);
-        let d = s.send_distribution().unwrap();
-        assert_eq!(d.max, 30);
-        assert!((d.imbalance() - 1.5).abs() < 1e-12);
     }
 }

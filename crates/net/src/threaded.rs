@@ -1,681 +1,86 @@
-//! The threaded engine: ranks as OS threads, collectives over channels.
+//! The threaded oracle: ranks as OS threads, collectives over channels.
 //!
 //! Every pair of ranks gets a dedicated FIFO channel; because all ranks
 //! execute the same sequence of collectives (the MPI contract), matching
-//! sends and receives pair up deterministically. Used for moderate rank
-//! counts (≤ a few hundred) and for cross-validating the BSP engine.
+//! sends and receives pair up deterministically. It is deliberately
+//! plain — no routing, no faults, no clock — so that rank code written
+//! against it looks like real MPI rank code and serves as an independent
+//! check on the BSP engine's collective semantics.
 
-use crate::comm::Communicator;
-use crate::fault::{BucketFate, ChecksumFrame, FaultPlan, WireHash};
-use crate::route::ExchangeRoute;
-use crate::topology::Topology;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use dedukt_sim::{Journal, JournalEvent};
-use std::cell::Cell;
 use std::sync::{Arc, Barrier};
 
-/// Payload carried between ranks.
-enum Payload {
-    Bytes(Vec<u8>),
-    Words(Vec<u64>),
-    Scalar(u64),
-    /// A byte bucket travelling with its checksum frame (fault runs).
-    FramedBytes(Vec<u8>, ChecksumFrame),
-    /// A word bucket travelling with its checksum frame (fault runs).
-    FramedWords(Vec<u64>, ChecksumFrame),
-    /// The attempt's send failed in flight; the receiver learns only that
-    /// nothing arrived and must wait for the next attempt.
-    FailedSend,
-}
-
-/// Header-capable payload element: hierarchical relay frames pack their
-/// `(src, dst, len)` headers as ordinary payload elements, so coalesced
-/// frames reuse the existing [`Payload`] variants and checksum framing
-/// unchanged.
-trait Lane: WireHash + Copy {
-    fn push_u64(buf: &mut Vec<Self>, v: u64);
-    fn read_u64(buf: &[Self], pos: &mut usize) -> u64;
-}
-
-impl Lane for u64 {
-    fn push_u64(buf: &mut Vec<u64>, v: u64) {
-        buf.push(v);
-    }
-
-    fn read_u64(buf: &[u64], pos: &mut usize) -> u64 {
-        let v = buf[*pos];
-        *pos += 1;
-        v
-    }
-}
-
-impl Lane for u8 {
-    fn push_u64(buf: &mut Vec<u8>, v: u64) {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn read_u64(buf: &[u8], pos: &mut usize) -> u64 {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&buf[*pos..*pos + 8]);
-        *pos += 8;
-        u64::from_le_bytes(b)
-    }
-}
-
-/// Packs `(src, dst, bucket)` entries into one relay frame. The empty
-/// entry list packs to the empty payload, so node pairs with no traffic
-/// keep the "nothing on the wire can fail" fault semantics.
-fn pack_frame<T: Lane>(entries: &[(usize, usize, Vec<T>)]) -> Vec<T> {
-    if entries.is_empty() {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    T::push_u64(&mut out, entries.len() as u64);
-    for (src, dst, bucket) in entries {
-        T::push_u64(&mut out, *src as u64);
-        T::push_u64(&mut out, *dst as u64);
-        T::push_u64(&mut out, bucket.len() as u64);
-        out.extend_from_slice(bucket);
-    }
-    out
-}
-
-/// Exact inverse of [`pack_frame`].
-fn unpack_frame<T: Lane>(frame: &[T]) -> Vec<(usize, usize, Vec<T>)> {
-    if frame.is_empty() {
-        return Vec::new();
-    }
-    let mut pos = 0usize;
-    let n = T::read_u64(frame, &mut pos) as usize;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let src = T::read_u64(frame, &mut pos) as usize;
-        let dst = T::read_u64(frame, &mut pos) as usize;
-        let len = T::read_u64(frame, &mut pos) as usize;
-        out.push((src, dst, frame[pos..pos + len].to_vec()));
-        pos += len;
-    }
-    assert_eq!(pos, frame.len(), "trailing elements in relay frame");
-    out
-}
-
-/// Per-rank fault-injection state: the shared plan plus this rank's view
-/// of the schedule. Both endpoints of every channel evaluate the *same*
-/// pure [`FaultPlan`], so no acknowledgement traffic is needed — sender
-/// and receiver independently agree on each bucket's per-attempt fate.
-struct FaultCtx {
-    plan: FaultPlan,
-    /// Fault-aware collectives completed (the fate schedule's `round`
-    /// coordinate, matching the BSP engine's `fault_context` round).
-    round: Cell<u64>,
-    /// Failed or corrupt bucket arrivals observed by this rank as a
-    /// receiver — one per retry the matching sender had to perform.
-    retries: Cell<u64>,
-    /// Optional flight recorder: every observed failed/corrupt arrival
-    /// becomes a [`JournalEvent::Retry`]. The threaded engine has no
-    /// simulated clock, so recorded backoff is always zero.
-    journal: Option<Arc<Journal>>,
-}
-
-impl FaultCtx {
-    /// Records one failed or corrupt arrival in the attached journal, if
-    /// any. `attempt` is the sender-side attempt index that produced the
-    /// bad delivery; the retry it forces is attempt `attempt + 1`.
-    fn observe_retry(&self, round: u64, attempt: u32, failed: u64, corrupt: u64) {
-        if let Some(j) = &self.journal {
-            j.push(JournalEvent::Retry {
-                round,
-                attempt: attempt + 1,
-                failed,
-                corrupt,
-                backoff: 0.0,
-            });
-        }
-    }
-}
-
-/// A per-rank handle implementing [`Communicator`] over channels.
+/// A per-rank handle: MPI-flavoured collectives over channels.
 pub struct ThreadedComm {
     rank: usize,
     size: usize,
     /// `to[dst]` sends to rank `dst`.
-    to: Vec<Sender<Payload>>,
+    to: Vec<Sender<Vec<u64>>>,
     /// `from[src]` receives from rank `src`.
-    from: Vec<Receiver<Payload>>,
+    from: Vec<Receiver<Vec<u64>>>,
     barrier: Arc<Barrier>,
-    fault: Option<FaultCtx>,
-    /// How Alltoallv payloads travel ([`ExchangeRoute::Direct`] unless
-    /// the world was launched with [`ThreadedWorld::run_routed`]).
-    route: ExchangeRoute,
-    /// Node layout; required (and present) whenever `route` is
-    /// hierarchical.
-    topo: Option<Topology>,
 }
 
-/// Hang guard for fault-run collectives: with any survivable fault rates
-/// the per-pair retry loop finishes in a handful of attempts, so hitting
-/// this bound means the plan can never deliver (e.g. fail=1).
-const MAX_FAULT_ATTEMPTS: u32 = 1000;
-
 impl ThreadedComm {
-    fn send_to(&self, dst: usize, p: Payload) {
-        self.to[dst].send(p).expect("peer rank hung up");
+    fn send_to(&self, dst: usize, payload: Vec<u64>) {
+        self.to[dst].send(payload).expect("peer rank hung up");
     }
 
-    fn recv_from(&self, src: usize) -> Payload {
+    fn recv_from(&self, src: usize) -> Vec<u64> {
         self.from[src].recv().expect("peer rank hung up")
     }
 
-    /// Failed or corrupt bucket arrivals this rank has observed — the
-    /// threaded engine's analogue of `CommStats::failed_sends +
-    /// corrupt_buckets`, summed over receiving ranks.
-    pub fn fault_retries(&self) -> u64 {
-        self.fault.as_ref().map_or(0, |c| c.retries.get())
-    }
-
-    /// One fault-aware Alltoallv: every pair `(self → dst, src → self)`
-    /// runs its own deterministic retry loop. On each attempt a pending
-    /// pair moves exactly one message (framed payload, corrupt-framed
-    /// payload, or a [`Payload::FailedSend`] marker), so matched
-    /// send/receive counts keep the unbounded FIFO channels deadlock-free;
-    /// a pair leaves the loop at its first [`BucketFate::Deliver`] draw,
-    /// the same attempt index at which the BSP engine's retry loop
-    /// re-delivers that bucket. Empty buckets always deliver on attempt 0
-    /// (nothing on the wire can fail).
-    fn faulty_alltoallv<T: WireHash>(
-        &self,
-        ctx: &FaultCtx,
-        send: Vec<Vec<T>>,
-        wrap: impl Fn(Vec<T>, ChecksumFrame) -> Payload,
-        unwrap: impl Fn(Payload) -> Option<(Vec<T>, ChecksumFrame)>,
-        clone_bucket: impl Fn(&[T]) -> Vec<T>,
-    ) -> Vec<Vec<T>> {
-        let round = ctx.round.get();
-        ctx.round.set(round + 1);
-        let peers: Vec<usize> = (0..self.size).collect();
-        self.retry_exchange(
-            ctx,
-            round,
-            &peers,
-            send,
-            |attempt, dst| ctx.plan.bucket_fate(round, attempt, self.rank, dst),
-            wrap,
-            unwrap,
-            clone_bucket,
-        )
-    }
-
-    /// The deterministic per-pair retry protocol over an arbitrary peer
-    /// set: `send[i]` goes to `peers[i]`, the returned buckets arrive
-    /// from `peers[i]`. Each pending pair moves exactly one message per
-    /// attempt (framed payload, corrupt-framed payload, or a
-    /// [`Payload::FailedSend`] marker), so matched send/receive counts
-    /// keep the unbounded FIFO channels deadlock-free; a pair leaves the
-    /// loop at its first [`BucketFate::Deliver`] draw from `fate`, the
-    /// same attempt index at which the BSP engine's retry loop
-    /// re-delivers that bucket. Empty buckets always deliver on attempt 0
-    /// (nothing on the wire can fail).
-    ///
-    /// Direct routing runs this over every rank with per-bucket fates;
-    /// hierarchical routing runs it twice — once over this node's ranks
-    /// (per-bucket fates, intra-node tier) and once between node leaders
-    /// (per-coalesced-frame fates, injection tier).
-    #[allow(clippy::too_many_arguments)]
-    fn retry_exchange<T: WireHash>(
-        &self,
-        ctx: &FaultCtx,
-        round: u64,
-        peers: &[usize],
-        send: Vec<Vec<T>>,
-        fate: impl Fn(u32, usize) -> BucketFate,
-        wrap: impl Fn(Vec<T>, ChecksumFrame) -> Payload,
-        unwrap: impl Fn(Payload) -> Option<(Vec<T>, ChecksumFrame)>,
-        clone_bucket: impl Fn(&[T]) -> Vec<T>,
-    ) -> Vec<Vec<T>> {
-        assert_eq!(send.len(), peers.len(), "one bucket per peer");
-        let mut pending_out: Vec<Option<Vec<T>>> = send.into_iter().map(Some).collect();
-        let mut result: Vec<Option<Vec<T>>> = peers.iter().map(|_| None).collect();
-        let mut pending_in: Vec<bool> = vec![true; peers.len()];
-        for attempt in 0..MAX_FAULT_ATTEMPTS {
-            if pending_out.iter().all(Option::is_none) && result.iter().all(Option::is_some) {
-                return result.into_iter().map(Option::unwrap).collect();
-            }
-            for (i, slot) in pending_out.iter_mut().enumerate() {
-                let Some(payload) = slot else {
-                    continue;
-                };
-                let dst = peers[i];
-                let fate = if payload.is_empty() {
-                    BucketFate::Deliver
-                } else {
-                    fate(attempt, dst)
-                };
-                match fate {
-                    BucketFate::Deliver => {
-                        let p = slot.take().expect("guarded above");
-                        let frame = ChecksumFrame::compute(&p);
-                        self.send_to(dst, wrap(p, frame));
-                    }
-                    BucketFate::Corrupt => {
-                        // The bucket crosses the wire with a bad frame;
-                        // the sender keeps its copy for the retry.
-                        let frame = ChecksumFrame::compute(payload).corrupted();
-                        self.send_to(dst, wrap(clone_bucket(payload), frame));
-                    }
-                    BucketFate::FailSend => self.send_to(dst, Payload::FailedSend),
-                }
-            }
-            for (i, pending) in pending_in.iter_mut().enumerate() {
-                if !*pending {
-                    continue;
-                }
-                match self.recv_from(peers[i]) {
-                    Payload::FailedSend => {
-                        ctx.retries.set(ctx.retries.get() + 1);
-                        ctx.observe_retry(round, attempt, 1, 0);
-                    }
-                    other => {
-                        let (items, frame) =
-                            unwrap(other).expect("collective mismatch: expected framed payload");
-                        if frame.matches(&items) {
-                            result[i] = Some(items);
-                            *pending = false;
-                        } else {
-                            // Receiver-side checksum verification caught
-                            // the corruption; discard and await a resend.
-                            ctx.retries.set(ctx.retries.get() + 1);
-                            ctx.observe_retry(round, attempt, 0, 1);
-                        }
-                    }
-                }
-            }
-        }
-        panic!(
-            "fault plan never delivered: a bucket survived {MAX_FAULT_ATTEMPTS} attempts \
-             (are fail+corrupt rates at 1?)"
-        );
-    }
-
-    /// Fault-free hierarchical Alltoallv (DESIGN.md §10): same-node
-    /// buckets travel directly (the physical content is identical either
-    /// way; only the simulated byte accounting distinguishes the NVLink
-    /// tier, and this engine has no clock), off-node rows gather to the
-    /// node leader, leaders exchange one coalesced frame per (node, node)
-    /// pair, and the receiving leader scatters buckets to their final
-    /// ranks.
-    ///
-    /// Channel-ordering contract (unbounded FIFO channels, so only the
-    /// per-channel message *order* matters): every rank sends its
-    /// same-node buckets before its gather frame, and consumes same-node
-    /// buckets before the leader consumes gathers — each local→leader
-    /// channel therefore carries `[bucket, gather]` and each
-    /// leader→local channel `[bucket, scatter]`, always drained in send
-    /// order.
-    fn relay_alltoallv<T: Lane>(
-        &self,
-        topo: &Topology,
-        mut send: Vec<Vec<T>>,
-        wrap: impl Fn(Vec<T>) -> Payload,
-        unwrap: impl Fn(Payload) -> Option<Vec<T>>,
-    ) -> Vec<Vec<T>> {
-        let my_node = topo.node_of(self.rank);
-        let leader = ExchangeRoute::leader_of(topo, my_node);
-        let local = topo.ranks_of(my_node);
-        // 1. Same-node buckets, directly to their final ranks.
-        for dst in local.clone() {
-            self.send_to(dst, wrap(std::mem::take(&mut send[dst])));
-        }
-        // 2. Gather the non-empty off-node rows to the node leader.
-        let mut gathered: Vec<(usize, usize, Vec<T>)> = Vec::new();
-        for (d, bucket) in send.iter_mut().enumerate().take(self.size) {
-            if !local.contains(&d) && !bucket.is_empty() {
-                gathered.push((self.rank, d, std::mem::take(bucket)));
-            }
-        }
-        self.send_to(leader, wrap(pack_frame(&gathered)));
-        // 3. Receive same-node buckets (all sent in step 1 before any
-        //    rank blocked).
-        let mut result: Vec<Option<Vec<T>>> = (0..self.size).map(|_| None).collect();
-        for src in local.clone() {
-            result[src] =
-                Some(unwrap(self.recv_from(src)).expect("collective mismatch: expected bucket"));
-        }
-        // 4. Leader relay: regroup gathers into one coalesced frame per
-        //    remote node, exchange leader-to-leader, scatter per dst.
-        if self.rank == leader {
-            let mut per_node: Vec<Vec<(usize, usize, Vec<T>)>> = vec![Vec::new(); topo.nodes];
-            for src in local.clone() {
-                let frame = unwrap(self.recv_from(src))
-                    .expect("collective mismatch: expected gather frame");
-                for e in unpack_frame(&frame) {
-                    per_node[topo.node_of(e.1)].push(e);
-                }
-            }
-            for node in (0..topo.nodes).filter(|&n| n != my_node) {
-                let frame = pack_frame(&per_node[node]);
-                self.send_to(ExchangeRoute::leader_of(topo, node), wrap(frame));
-            }
-            let mut per_dst: Vec<Vec<(usize, usize, Vec<T>)>> =
-                vec![Vec::new(); topo.ranks_per_node];
-            for node in (0..topo.nodes).filter(|&n| n != my_node) {
-                let frame = unwrap(self.recv_from(ExchangeRoute::leader_of(topo, node)))
-                    .expect("collective mismatch: expected leader frame");
-                for e in unpack_frame(&frame) {
-                    per_dst[e.1 - local.start].push(e);
-                }
-            }
-            for dst in local.clone() {
-                let frame = pack_frame(&per_dst[dst - local.start]);
-                self.send_to(dst, wrap(frame));
-            }
-        }
-        // 5. Scatter: off-node buckets arrive via the leader; off-node
-        //    pairs that sent nothing stay empty.
-        let frame =
-            unwrap(self.recv_from(leader)).expect("collective mismatch: expected scatter frame");
-        for (src, dst, bucket) in unpack_frame(&frame) {
-            debug_assert_eq!(dst, self.rank, "scatter frame misrouted");
-            result[src] = Some(bucket);
-        }
-        result
-            .into_iter()
-            .map(|slot| slot.unwrap_or_default())
-            .collect()
-    }
-
-    /// Hierarchical Alltoallv under a fault plan. Fate granularity
-    /// matches the BSP engine exactly (both evaluate
-    /// [`ExchangeRoute::bucket_fate`] at the same coordinates): one fate
-    /// per bucket for same-node pairs, one fate per coalesced
-    /// (node, node) frame on the injection tier — all buckets of a frame
-    /// fail or deliver together, and a retry resends only the failed
-    /// frames. The gather-to-leader and scatter-from-leader hops are
-    /// reliable bookkeeping (a cross-node bucket draws only its frame's
-    /// fate, never an additional intra-node one).
-    ///
-    /// Channel-ordering contract: the gather frame is the *first*
-    /// message on each local→leader channel and the leader drains every
-    /// gather before entering the same-node retry loop; the scatter
-    /// frame is the *last* message on each leader→local channel and each
-    /// rank only receives it after its own retry loop finished.
-    /// Leader-to-leader channels carry only injection-tier frames.
-    #[allow(clippy::too_many_arguments)]
-    fn relay_alltoallv_faulty<T: Lane>(
-        &self,
-        ctx: &FaultCtx,
-        topo: &Topology,
-        mut send: Vec<Vec<T>>,
-        wrap: impl Fn(Vec<T>) -> Payload,
-        unwrap: impl Fn(Payload) -> Option<Vec<T>>,
-        wrap_framed: impl Fn(Vec<T>, ChecksumFrame) -> Payload,
-        unwrap_framed: impl Fn(Payload) -> Option<(Vec<T>, ChecksumFrame)>,
-    ) -> Vec<Vec<T>> {
-        let round = ctx.round.get();
-        ctx.round.set(round + 1);
-        let route = ExchangeRoute::Hierarchical;
-        let my_node = topo.node_of(self.rank);
-        let leader = ExchangeRoute::leader_of(topo, my_node);
-        let local = topo.ranks_of(my_node);
-        // 1. Reliable gather of the non-empty off-node rows.
-        let mut gathered: Vec<(usize, usize, Vec<T>)> = Vec::new();
-        for (d, bucket) in send.iter_mut().enumerate().take(self.size) {
-            if !local.contains(&d) && !bucket.is_empty() {
-                gathered.push((self.rank, d, std::mem::take(bucket)));
-            }
-        }
-        self.send_to(leader, wrap(pack_frame(&gathered)));
-        // 2. Leader drains every gather frame before the same-node retry
-        //    loop starts consuming the same channels.
-        let mut per_node: Vec<Vec<(usize, usize, Vec<T>)>> = vec![Vec::new(); topo.nodes];
-        if self.rank == leader {
-            for src in local.clone() {
-                let frame = unwrap(self.recv_from(src))
-                    .expect("collective mismatch: expected gather frame");
-                for e in unpack_frame(&frame) {
-                    per_node[topo.node_of(e.1)].push(e);
-                }
-            }
-        }
-        // 3. Same-node buckets: per-bucket retry at rank coordinates —
-        //    identical fates to direct routing.
-        let local_peers: Vec<usize> = local.clone().collect();
-        let local_send: Vec<Vec<T>> = local
-            .clone()
-            .map(|dst| std::mem::take(&mut send[dst]))
-            .collect();
-        let local_recv = self.retry_exchange(
-            ctx,
-            round,
-            &local_peers,
-            local_send,
-            |attempt, dst| route.bucket_fate(&ctx.plan, topo, round, attempt, self.rank, dst),
-            &wrap_framed,
-            &unwrap_framed,
-            |b: &[T]| b.to_vec(),
-        );
-        let mut result: Vec<Option<Vec<T>>> = (0..self.size).map(|_| None).collect();
-        for (bucket, src) in local_recv.into_iter().zip(local.clone()) {
-            result[src] = Some(bucket);
-        }
-        // 4. Injection tier: leaders run the same retry protocol over
-        //    coalesced frames, one fate per (node, node) frame.
-        if self.rank == leader {
-            let remote: Vec<usize> = (0..topo.nodes)
-                .filter(|&n| n != my_node)
-                .map(|n| ExchangeRoute::leader_of(topo, n))
-                .collect();
-            let frames: Vec<Vec<T>> = (0..topo.nodes)
-                .filter(|&n| n != my_node)
-                .map(|n| pack_frame(&per_node[n]))
-                .collect();
-            let recv_frames = self.retry_exchange(
-                ctx,
-                round,
-                &remote,
-                frames,
-                |attempt, dst| route.bucket_fate(&ctx.plan, topo, round, attempt, self.rank, dst),
-                &wrap_framed,
-                &unwrap_framed,
-                |b: &[T]| b.to_vec(),
-            );
-            // 5. Reliable scatter to the final ranks.
-            let mut per_dst: Vec<Vec<(usize, usize, Vec<T>)>> =
-                vec![Vec::new(); topo.ranks_per_node];
-            for frame in recv_frames {
-                for e in unpack_frame(&frame) {
-                    per_dst[e.1 - local.start].push(e);
-                }
-            }
-            for dst in local.clone() {
-                let frame = pack_frame(&per_dst[dst - local.start]);
-                self.send_to(dst, wrap(frame));
-            }
-        }
-        // 6. Scatter receipt completes the off-node rows.
-        let frame =
-            unwrap(self.recv_from(leader)).expect("collective mismatch: expected scatter frame");
-        for (src, dst, bucket) in unpack_frame(&frame) {
-            debug_assert_eq!(dst, self.rank, "scatter frame misrouted");
-            result[src] = Some(bucket);
-        }
-        result
-            .into_iter()
-            .map(|slot| slot.unwrap_or_default())
-            .collect()
-    }
-
-    /// Dispatches one u64 Alltoallv through the hierarchical relay.
-    fn relay_u64(&self, send: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
-        let topo = self.topo.expect("hierarchical routing requires a topology");
-        let unwrap = |p| match p {
-            Payload::Words(w) => Some(w),
-            _ => None,
-        };
-        match &self.fault {
-            Some(ctx) => self.relay_alltoallv_faulty(
-                ctx,
-                &topo,
-                send,
-                Payload::Words,
-                unwrap,
-                Payload::FramedWords,
-                |p| match p {
-                    Payload::FramedWords(w, f) => Some((w, f)),
-                    _ => None,
-                },
-            ),
-            None => self.relay_alltoallv(&topo, send, Payload::Words, unwrap),
-        }
-    }
-
-    /// Dispatches one byte Alltoallv through the hierarchical relay.
-    fn relay_bytes(&self, send: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
-        let topo = self.topo.expect("hierarchical routing requires a topology");
-        let unwrap = |p| match p {
-            Payload::Bytes(b) => Some(b),
-            _ => None,
-        };
-        match &self.fault {
-            Some(ctx) => self.relay_alltoallv_faulty(
-                ctx,
-                &topo,
-                send,
-                Payload::Bytes,
-                unwrap,
-                Payload::FramedBytes,
-                |p| match p {
-                    Payload::FramedBytes(b, f) => Some((b, f)),
-                    _ => None,
-                },
-            ),
-            None => self.relay_alltoallv(&topo, send, Payload::Bytes, unwrap),
-        }
-    }
-}
-
-impl Communicator for ThreadedComm {
-    fn rank(&self) -> usize {
+    /// This rank's index in `0..size()`.
+    pub fn rank(&self) -> usize {
         self.rank
     }
 
-    fn size(&self) -> usize {
+    /// Number of ranks in the world.
+    pub fn size(&self) -> usize {
         self.size
     }
 
-    fn alltoallv_u64(&self, send: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
+    /// Personalized all-to-all of `u64` payloads: `send[dst]` goes to
+    /// `dst`; returns `recv[src]` from every `src`. All ranks must call
+    /// collectively. (MPI_Alltoallv over 64-bit words — the k-mer
+    /// exchange of Algorithm 1.)
+    pub fn alltoallv_u64(&self, send: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
         assert_eq!(send.len(), self.size, "send must address every rank");
-        if self.route == ExchangeRoute::Hierarchical {
-            return self.relay_u64(send);
-        }
-        if let Some(ctx) = &self.fault {
-            return self.faulty_alltoallv(
-                ctx,
-                send,
-                Payload::FramedWords,
-                |p| match p {
-                    Payload::FramedWords(w, f) => Some((w, f)),
-                    _ => None,
-                },
-                |b| b.to_vec(),
-            );
-        }
         for (dst, payload) in send.into_iter().enumerate() {
-            self.send_to(dst, Payload::Words(payload));
+            self.send_to(dst, payload);
         }
-        (0..self.size)
-            .map(|src| match self.recv_from(src) {
-                Payload::Words(w) => w,
-                _ => panic!("collective mismatch: expected u64 alltoallv"),
-            })
-            .collect()
+        (0..self.size).map(|src| self.recv_from(src)).collect()
     }
 
-    fn alltoallv_bytes(&self, send: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
-        assert_eq!(send.len(), self.size, "send must address every rank");
-        if self.route == ExchangeRoute::Hierarchical {
-            return self.relay_bytes(send);
-        }
-        if let Some(ctx) = &self.fault {
-            return self.faulty_alltoallv(
-                ctx,
-                send,
-                Payload::FramedBytes,
-                |p| match p {
-                    Payload::FramedBytes(b, f) => Some((b, f)),
-                    _ => None,
-                },
-                |b| b.to_vec(),
-            );
-        }
-        for (dst, payload) in send.into_iter().enumerate() {
-            self.send_to(dst, Payload::Bytes(payload));
-        }
-        (0..self.size)
-            .map(|src| match self.recv_from(src) {
-                Payload::Bytes(b) => b,
-                _ => panic!("collective mismatch: expected byte alltoallv"),
-            })
-            .collect()
-    }
-
-    fn allreduce_sum(&self, value: u64) -> u64 {
-        // Reduce to rank 0, then broadcast.
+    /// Global sum of one `u64`, returned on every rank: reduce to rank 0,
+    /// then broadcast.
+    pub fn allreduce_sum(&self, value: u64) -> u64 {
         if self.rank == 0 {
-            let mut acc = value;
-            for src in 1..self.size {
-                match self.recv_from(src) {
-                    Payload::Scalar(v) => acc += v,
-                    _ => panic!("collective mismatch: expected scalar"),
-                }
-            }
+            let acc = value
+                + (1..self.size)
+                    .map(|src| scalar(self.recv_from(src)))
+                    .sum::<u64>();
             for dst in 1..self.size {
-                self.send_to(dst, Payload::Scalar(acc));
+                self.send_to(dst, vec![acc]);
             }
             acc
         } else {
-            self.send_to(0, Payload::Scalar(value));
-            match self.recv_from(0) {
-                Payload::Scalar(v) => v,
-                _ => panic!("collective mismatch: expected scalar"),
-            }
+            self.send_to(0, vec![value]);
+            scalar(self.recv_from(0))
         }
     }
 
-    fn gather(&self, value: u64, root: usize) -> Option<Vec<u64>> {
-        assert!(root < self.size);
-        if self.rank == root {
-            let mut out = vec![0u64; self.size];
-            out[root] = value;
-            for src in (0..self.size).filter(|&s| s != root) {
-                match self.recv_from(src) {
-                    Payload::Scalar(v) => out[src] = v,
-                    _ => panic!("collective mismatch: expected scalar gather"),
-                }
-            }
-            Some(out)
-        } else {
-            self.send_to(root, Payload::Scalar(value));
-            None
-        }
-    }
-
-    fn broadcast(&self, value: u64, root: usize) -> u64 {
-        assert!(root < self.size);
-        if self.rank == root {
-            for dst in (0..self.size).filter(|&d| d != root) {
-                self.send_to(dst, Payload::Scalar(value));
-            }
-            value
-        } else {
-            match self.recv_from(root) {
-                Payload::Scalar(v) => v,
-                _ => panic!("collective mismatch: expected scalar broadcast"),
-            }
-        }
-    }
-
-    fn barrier(&self) {
+    /// Blocks until every rank has arrived.
+    pub fn barrier(&self) {
         self.barrier.wait();
+    }
+}
+
+/// Unwraps a one-word scalar message.
+fn scalar(msg: Vec<u64>) -> u64 {
+    match msg[..] {
+        [v] => v,
+        _ => panic!("collective mismatch: expected scalar"),
     }
 }
 
@@ -690,113 +95,33 @@ impl ThreadedWorld {
         T: Send,
         F: Fn(ThreadedComm) -> T + Sync,
     {
-        ThreadedWorld::run_with_faults(nranks, None, f)
-    }
-
-    /// [`ThreadedWorld::run`] under a deterministic fault plan: every
-    /// rank's Alltoallv collectives route through the framed retry
-    /// protocol (scalar collectives and barriers are fault-free), and the
-    /// engine delivers exactly the payloads the BSP engine would under
-    /// the same plan. The threaded engine has no simulated clock, so
-    /// stragglers and backoff do not apply here.
-    pub fn run_with_faults<T, F>(nranks: usize, plan: Option<FaultPlan>, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(ThreadedComm) -> T + Sync,
-    {
-        ThreadedWorld::run_observed(nranks, plan, None, f)
-    }
-
-    /// [`ThreadedWorld::run_with_faults`] with an optional flight
-    /// recorder: every failed or corrupt bucket arrival any rank observes
-    /// is appended to `journal` as a [`JournalEvent::Retry`] (backoff is
-    /// recorded as zero — this engine has no simulated clock). With
-    /// `journal: None` this is exactly `run_with_faults`.
-    pub fn run_observed<T, F>(
-        nranks: usize,
-        plan: Option<FaultPlan>,
-        journal: Option<Arc<Journal>>,
-        f: F,
-    ) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(ThreadedComm) -> T + Sync,
-    {
-        ThreadedWorld::launch(nranks, ExchangeRoute::Direct, None, plan, journal, f)
-    }
-
-    /// Runs the world with an explicit payload route over `topo`:
-    /// under [`ExchangeRoute::Hierarchical`], cross-node Alltoallv
-    /// payloads relay through per-node leader ranks as coalesced
-    /// (node, node) frames — delivering exactly the payloads direct
-    /// routing would, with the BSP engine's fate coordinates (one fate
-    /// per frame on the injection tier, per bucket on-node).
-    pub fn run_routed<T, F>(
-        topo: Topology,
-        route: ExchangeRoute,
-        plan: Option<FaultPlan>,
-        journal: Option<Arc<Journal>>,
-        f: F,
-    ) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(ThreadedComm) -> T + Sync,
-    {
-        ThreadedWorld::launch(topo.nranks(), route, Some(topo), plan, journal, f)
-    }
-
-    fn launch<T, F>(
-        nranks: usize,
-        route: ExchangeRoute,
-        topo: Option<Topology>,
-        plan: Option<FaultPlan>,
-        journal: Option<Arc<Journal>>,
-        f: F,
-    ) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(ThreadedComm) -> T + Sync,
-    {
         assert!(nranks > 0);
-        assert!(
-            route == ExchangeRoute::Direct || topo.is_some(),
-            "hierarchical routing requires a topology"
-        );
-        // channels[src][dst]
-        let mut senders: Vec<Vec<Sender<Payload>>> = Vec::with_capacity(nranks);
-        let mut receivers: Vec<Vec<Option<Receiver<Payload>>>> = (0..nranks)
-            .map(|_| (0..nranks).map(|_| None).collect())
+        // receivers[dst][src] pairs with the sender at senders[src][dst].
+        let mut receivers: Vec<Vec<Receiver<Vec<u64>>>> =
+            (0..nranks).map(|_| Vec::with_capacity(nranks)).collect();
+        let senders: Vec<Vec<Sender<Vec<u64>>>> = (0..nranks)
+            .map(|_| {
+                receivers
+                    .iter_mut()
+                    .map(|rx_row| {
+                        let (tx, rx) = unbounded();
+                        rx_row.push(rx);
+                        tx
+                    })
+                    .collect()
+            })
             .collect();
-        for src in 0..nranks {
-            let mut row = Vec::with_capacity(nranks);
-            for (dst, rx_row) in receivers.iter_mut().enumerate() {
-                let (tx, rx) = unbounded();
-                row.push(tx);
-                let _ = dst;
-                rx_row[src] = Some(rx);
-            }
-            senders.push(row);
-        }
         let barrier = Arc::new(Barrier::new(nranks));
-
         let comms: Vec<ThreadedComm> = receivers
             .into_iter()
             .zip(senders)
             .enumerate()
-            .map(|(rank, (from_opts, to_row))| ThreadedComm {
+            .map(|(rank, (from, to))| ThreadedComm {
                 rank,
                 size: nranks,
-                to: to_row,
-                from: from_opts.into_iter().map(Option::unwrap).collect(),
+                to,
+                from,
                 barrier: Arc::clone(&barrier),
-                fault: plan.map(|plan| FaultCtx {
-                    plan,
-                    round: Cell::new(0),
-                    retries: Cell::new(0),
-                    journal: journal.clone(),
-                }),
-                route,
-                topo,
             })
             .collect();
 
@@ -829,20 +154,6 @@ mod tests {
         for (dst, recv) in results.iter().enumerate() {
             for (src, payload) in recv.iter().enumerate() {
                 assert_eq!(payload, &vec![(src * 100 + dst) as u64]);
-            }
-        }
-    }
-
-    #[test]
-    fn alltoallv_bytes_roundtrip() {
-        let p = 3;
-        let results = ThreadedWorld::run(p, |comm| {
-            let send: Vec<Vec<u8>> = (0..p).map(|dst| vec![comm.rank() as u8; dst + 1]).collect();
-            comm.alltoallv_bytes(send)
-        });
-        for (dst, recv) in results.iter().enumerate() {
-            for (src, payload) in recv.iter().enumerate() {
-                assert_eq!(payload, &vec![src as u8; dst + 1]);
             }
         }
     }
@@ -881,240 +192,6 @@ mod tests {
             assert_eq!(b, (0..p as u64).map(|s| vec![s]).collect::<Vec<_>>());
             assert_eq!(c, 10 * p as u64);
         }
-    }
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let p = 5;
-        let results = ThreadedWorld::run(p, |comm| comm.gather(comm.rank() as u64 * 10, 2));
-        for (rank, r) in results.iter().enumerate() {
-            if rank == 2 {
-                assert_eq!(r.as_ref().unwrap(), &vec![0, 10, 20, 30, 40]);
-            } else {
-                assert!(r.is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn broadcast_delivers_roots_value() {
-        let p = 4;
-        let results = ThreadedWorld::run(p, |comm| {
-            let v = if comm.rank() == 1 { 99 } else { 0 };
-            comm.broadcast(v, 1)
-        });
-        assert!(results.iter().all(|&v| v == 99));
-    }
-
-    #[test]
-    fn faulty_alltoallv_delivers_everything() {
-        use crate::fault::{FaultPlan, FaultSpec};
-        let p = 6;
-        let plan = FaultPlan::new(2024, FaultSpec::parse("fail=0.3,corrupt=0.2").unwrap());
-        let results = ThreadedWorld::run_with_faults(p, Some(plan), |comm| {
-            let send: Vec<Vec<u64>> = (0..p)
-                .map(|dst| vec![(comm.rank() * 100 + dst) as u64; 3])
-                .collect();
-            let words = comm.alltoallv_u64(send);
-            let bytes =
-                comm.alltoallv_bytes((0..p).map(|dst| vec![comm.rank() as u8; dst + 1]).collect());
-            (words, bytes, comm.fault_retries())
-        });
-        let mut total_retries = 0;
-        for (dst, (words, bytes, retries)) in results.iter().enumerate() {
-            for src in 0..p {
-                assert_eq!(words[src], vec![(src * 100 + dst) as u64; 3]);
-                assert_eq!(bytes[src], vec![src as u8; dst + 1]);
-            }
-            total_retries += retries;
-        }
-        assert!(total_retries > 0, "rates this high must retry somewhere");
-    }
-
-    #[test]
-    fn zero_fault_plan_matches_plain_run() {
-        use crate::fault::{FaultPlan, FaultSpec};
-        let p = 4;
-        let body = |comm: &ThreadedComm| {
-            let send: Vec<Vec<u64>> = (0..p).map(|dst| vec![(comm.rank() + dst) as u64]).collect();
-            comm.alltoallv_u64(send)
-        };
-        let plain = ThreadedWorld::run(p, |comm| body(&comm));
-        let zero =
-            ThreadedWorld::run_with_faults(p, Some(FaultPlan::new(1, FaultSpec::none())), |comm| {
-                (body(&comm), comm.fault_retries())
-            });
-        for (a, (b, retries)) in plain.iter().zip(&zero) {
-            assert_eq!(a, b);
-            assert_eq!(*retries, 0);
-        }
-    }
-
-    #[test]
-    fn faulty_collectives_stay_matched_across_rounds() {
-        use crate::fault::{FaultPlan, FaultSpec};
-        let p = 4;
-        let plan = FaultPlan::new(9, FaultSpec::parse("fail=0.4,corrupt=0.1").unwrap());
-        let results = ThreadedWorld::run_with_faults(p, Some(plan), |comm| {
-            let mut out = Vec::new();
-            for round in 0..5u64 {
-                let send: Vec<Vec<u64>> = (0..p)
-                    .map(|dst| vec![round * 1000 + (comm.rank() * 10 + dst) as u64])
-                    .collect();
-                out.push(comm.alltoallv_u64(send));
-                comm.barrier();
-            }
-            let sum = comm.allreduce_sum(comm.rank() as u64);
-            (out, sum)
-        });
-        for (dst, (rounds, sum)) in results.iter().enumerate() {
-            assert_eq!(*sum, (0..p as u64).sum::<u64>());
-            for (round, recv) in rounds.iter().enumerate() {
-                for (src, bucket) in recv.iter().enumerate() {
-                    assert_eq!(*bucket, vec![round as u64 * 1000 + (src * 10 + dst) as u64]);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn observed_run_journals_every_retry() {
-        use crate::fault::{FaultPlan, FaultSpec};
-        let p = 6;
-        let plan = FaultPlan::new(2024, FaultSpec::parse("fail=0.3,corrupt=0.2").unwrap());
-        let journal = Arc::new(Journal::new());
-        let results =
-            ThreadedWorld::run_observed(p, Some(plan), Some(Arc::clone(&journal)), |comm| {
-                let send: Vec<Vec<u64>> = (0..p)
-                    .map(|dst| vec![(comm.rank() * 100 + dst) as u64; 3])
-                    .collect();
-                comm.alltoallv_u64(send);
-                comm.fault_retries()
-            });
-        let observed: u64 = results.iter().sum();
-        assert!(observed > 0, "rates this high must retry somewhere");
-        let events = journal.take();
-        let mut failed = 0u64;
-        let mut corrupt = 0u64;
-        for e in &events {
-            match e {
-                JournalEvent::Retry {
-                    round,
-                    attempt,
-                    failed: f,
-                    corrupt: c,
-                    backoff,
-                } => {
-                    assert_eq!(*round, 0, "single collective is round 0");
-                    assert!(*attempt >= 1);
-                    assert_eq!(f + c, 1, "one event per bad arrival");
-                    assert_eq!(*backoff, 0.0, "threaded engine has no clock");
-                    failed += f;
-                    corrupt += c;
-                }
-                other => panic!("unexpected event kind {:?}", other.kind()),
-            }
-        }
-        assert_eq!(
-            failed + corrupt,
-            observed,
-            "journal must record exactly the retries the ranks counted"
-        );
-        assert!(corrupt > 0, "corrupt=0.2 must corrupt something");
-    }
-
-    #[test]
-    fn hierarchical_routing_delivers_direct_payloads() {
-        let topo = Topology::new(3, 2);
-        let p = topo.nranks();
-        let body = |comm: &ThreadedComm| {
-            let words: Vec<Vec<u64>> = (0..p)
-                .map(|dst| vec![(comm.rank() * 100 + dst) as u64; (dst % 3) + 1])
-                .collect();
-            let bytes: Vec<Vec<u8>> = (0..p)
-                .map(|dst| {
-                    if dst % 2 == 0 {
-                        Vec::new() // empty off-node and on-node rows both survive relay
-                    } else {
-                        vec![comm.rank() as u8; dst]
-                    }
-                })
-                .collect();
-            (comm.alltoallv_u64(words), comm.alltoallv_bytes(bytes))
-        };
-        let direct = ThreadedWorld::run(p, |comm| body(&comm));
-        let routed =
-            ThreadedWorld::run_routed(topo, ExchangeRoute::Hierarchical, None, None, |comm| {
-                body(&comm)
-            });
-        assert_eq!(direct, routed, "relay must deliver identical payloads");
-    }
-
-    #[test]
-    fn hierarchical_routing_survives_faults() {
-        use crate::fault::{FaultPlan, FaultSpec};
-        let topo = Topology::new(3, 2);
-        let p = topo.nranks();
-        let plan = FaultPlan::new(2024, FaultSpec::parse("fail=0.3,corrupt=0.2").unwrap());
-        let results = ThreadedWorld::run_routed(
-            topo,
-            ExchangeRoute::Hierarchical,
-            Some(plan),
-            None,
-            |comm| {
-                let mut rounds = Vec::new();
-                for round in 0..3u64 {
-                    let send: Vec<Vec<u64>> = (0..p)
-                        .map(|dst| vec![round * 1000 + (comm.rank() * 10 + dst) as u64])
-                        .collect();
-                    rounds.push(comm.alltoallv_u64(send));
-                    comm.barrier();
-                }
-                let bytes = comm
-                    .alltoallv_bytes((0..p).map(|dst| vec![comm.rank() as u8; dst + 1]).collect());
-                (rounds, bytes, comm.fault_retries())
-            },
-        );
-        let mut total_retries = 0;
-        for (dst, (rounds, bytes, retries)) in results.iter().enumerate() {
-            for (round, recv) in rounds.iter().enumerate() {
-                for (src, bucket) in recv.iter().enumerate() {
-                    assert_eq!(*bucket, vec![round as u64 * 1000 + (src * 10 + dst) as u64]);
-                }
-            }
-            for (src, payload) in bytes.iter().enumerate() {
-                assert_eq!(payload, &vec![src as u8; dst + 1]);
-            }
-            total_retries += retries;
-        }
-        assert!(total_retries > 0, "rates this high must retry somewhere");
-    }
-
-    #[test]
-    fn hierarchical_single_node_collapses_to_intra_traffic() {
-        let topo = Topology::new(1, 4);
-        let results =
-            ThreadedWorld::run_routed(topo, ExchangeRoute::Hierarchical, None, None, |comm| {
-                let send: Vec<Vec<u64>> =
-                    (0..4).map(|dst| vec![(comm.rank() + dst) as u64]).collect();
-                comm.alltoallv_u64(send)
-            });
-        for (dst, recv) in results.iter().enumerate() {
-            for (src, bucket) in recv.iter().enumerate() {
-                assert_eq!(*bucket, vec![(src + dst) as u64]);
-            }
-        }
-    }
-
-    #[test]
-    fn relay_frames_roundtrip() {
-        let entries: Vec<(usize, usize, Vec<u64>)> =
-            vec![(0, 7, vec![1, 2, 3]), (3, 8, Vec::new()), (5, 9, vec![9])];
-        assert_eq!(unpack_frame::<u64>(&pack_frame(&entries)), entries);
-        let bytes: Vec<(usize, usize, Vec<u8>)> = vec![(1, 4, vec![0xab; 5]), (2, 5, vec![1])];
-        assert_eq!(unpack_frame::<u8>(&pack_frame(&bytes)), bytes);
-        assert!(pack_frame::<u8>(&[]).is_empty());
-        assert!(unpack_frame::<u64>(&[]).is_empty());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Property tests for the network layer: the cost model must price like a
-//! network (monotone in traffic, locality-sensitive), and both engines
-//! must implement the same collective semantics.
+//! network (monotone in traffic, locality-sensitive), and the BSP engine
+//! must deliver what the threaded channel oracle delivers.
 
 use dedukt_net::cost::{ExchangeAlgo, Network};
-use dedukt_net::{BspWorld, Communicator, ThreadedWorld};
+use dedukt_net::{BspWorld, ThreadedWorld};
 use proptest::prelude::*;
 
 fn matrix_strategy(p: usize) -> impl Strategy<Value = Vec<Vec<u64>>> {
@@ -51,7 +51,7 @@ proptest! {
     }
 
     /// The BSP engine's payload routing is identical to the threaded
-    /// engine's (real channels) for any payload matrix.
+    /// oracle's (real channels) for any payload matrix.
     #[test]
     fn bsp_and_threaded_agree_on_alltoallv(m in matrix_strategy(5)) {
         let p = 5;
@@ -75,7 +75,7 @@ proptest! {
         }
     }
 
-    /// Allreduce agrees between engines and equals the plain sum.
+    /// The threaded oracle's allreduce equals the plain sum.
     #[test]
     fn allreduce_sums(values in prop::collection::vec(0u64..1 << 40, 2..9)) {
         let p = values.len();

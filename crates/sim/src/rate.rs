@@ -26,12 +26,6 @@ impl Rate {
         Rate::per_sec(gb * 1e9)
     }
 
-    /// Item-rate constructor: millions of items per second.
-    #[inline]
-    pub fn mitems_per_sec(m: f64) -> Self {
-        Rate::per_sec(m * 1e6)
-    }
-
     /// Item-rate constructor: billions of items per second.
     #[inline]
     pub fn gitems_per_sec(g: f64) -> Self {
@@ -100,7 +94,7 @@ mod tests {
 
     #[test]
     fn time_for_work() {
-        let r = Rate::mitems_per_sec(10.0); // 10M items/s
+        let r = Rate::per_sec(10e6); // 10M items/s
         assert!((r.time_for(5e6).as_secs() - 0.5).abs() < 1e-12);
     }
 
@@ -129,7 +123,7 @@ mod tests {
     #[test]
     fn display_units() {
         assert_eq!(format!("{}", Rate::gitems_per_sec(2.5)), "2.500 G/s");
-        assert_eq!(format!("{}", Rate::mitems_per_sec(2.5)), "2.500 M/s");
+        assert_eq!(format!("{}", Rate::per_sec(2.5e6)), "2.500 M/s");
         assert_eq!(format!("{}", Rate::per_sec(1500.0)), "1.500 K/s");
         assert_eq!(format!("{}", Rate::per_sec(12.0)), "12.000 /s");
     }

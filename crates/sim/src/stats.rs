@@ -70,16 +70,6 @@ impl DistStats {
             self.max as f64 / self.mean
         }
     }
-
-    /// Coefficient of variation (`stddev / mean`); 0 for perfectly even
-    /// loads.
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.stddev / self.mean
-        }
-    }
 }
 
 impl fmt::Display for DistStats {
@@ -120,7 +110,6 @@ mod tests {
     fn perfect_balance_has_imbalance_one() {
         let s = DistStats::from_loads(&[10, 10, 10]).unwrap();
         assert!((s.imbalance() - 1.0).abs() < 1e-12);
-        assert_eq!(s.cv(), 0.0);
     }
 
     #[test]
@@ -135,7 +124,6 @@ mod tests {
     fn all_zero_loads() {
         let s = DistStats::from_loads(&[0, 0]).unwrap();
         assert_eq!(s.imbalance(), 1.0);
-        assert_eq!(s.cv(), 0.0);
     }
 
     #[test]

@@ -40,12 +40,6 @@ impl SimTime {
         Self::from_secs(us * 1e-6)
     }
 
-    /// Creates a duration from nanoseconds.
-    #[inline]
-    pub fn from_nanos(ns: f64) -> Self {
-        Self::from_secs(ns * 1e-9)
-    }
-
     /// The duration in seconds.
     #[inline]
     pub fn as_secs(self) -> f64 {
@@ -217,7 +211,6 @@ mod tests {
     fn construction_and_units() {
         assert_eq!(SimTime::from_millis(1500.0).as_secs(), 1.5);
         assert_eq!(SimTime::from_micros(2.0).as_secs(), 2e-6);
-        assert_eq!(SimTime::from_nanos(5.0).as_secs(), 5e-9);
         assert_eq!(SimTime::from_secs(2.0).as_millis(), 2000.0);
         assert_eq!(SimTime::from_secs(2.0).as_micros(), 2_000_000.0);
     }
@@ -250,7 +243,7 @@ mod tests {
         assert_eq!(format!("{}", SimTime::from_secs(1.5)), "1.500 s");
         assert_eq!(format!("{}", SimTime::from_secs(0.0025)), "2.500 ms");
         assert_eq!(format!("{}", SimTime::from_micros(12.0)), "12.000 µs");
-        assert_eq!(format!("{}", SimTime::from_nanos(7.0)), "7.0 ns");
+        assert_eq!(format!("{}", SimTime::from_secs(7e-9)), "7.0 ns");
     }
 
     #[test]

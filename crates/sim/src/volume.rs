@@ -23,18 +23,6 @@ impl DataVolume {
         DataVolume(bytes)
     }
 
-    /// From kibibytes.
-    #[inline]
-    pub const fn from_kib(kib: u64) -> Self {
-        DataVolume(kib * 1024)
-    }
-
-    /// From mebibytes.
-    #[inline]
-    pub const fn from_mib(mib: u64) -> Self {
-        DataVolume(mib * 1024 * 1024)
-    }
-
     /// From gibibytes.
     #[inline]
     pub const fn from_gib(gib: u64) -> Self {
@@ -145,8 +133,6 @@ mod tests {
 
     #[test]
     fn unit_constructors() {
-        assert_eq!(DataVolume::from_kib(2).bytes(), 2048);
-        assert_eq!(DataVolume::from_mib(1).bytes(), 1 << 20);
         assert_eq!(DataVolume::from_gib(1).bytes(), 1 << 30);
     }
 
@@ -172,8 +158,8 @@ mod tests {
     #[test]
     fn display_units() {
         assert_eq!(format!("{}", DataVolume::from_bytes(42)), "42 B");
-        assert_eq!(format!("{}", DataVolume::from_kib(3)), "3.00 KiB");
-        assert_eq!(format!("{}", DataVolume::from_mib(5)), "5.00 MiB");
+        assert_eq!(format!("{}", DataVolume::from_bytes(3 << 10)), "3.00 KiB");
+        assert_eq!(format!("{}", DataVolume::from_bytes(5 << 20)), "5.00 MiB");
         assert_eq!(format!("{}", DataVolume::from_gib(2)), "2.00 GiB");
     }
 

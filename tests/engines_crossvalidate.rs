@@ -1,7 +1,7 @@
 //! Cross-validation: a hand-rolled k-mer counter written against the
-//! *threaded* engine's `Communicator` trait (real OS threads, real
-//! channel exchange — the shape of real MPI rank code) must agree with
-//! the BSP pipelines and the oracle.
+//! threaded channel oracle (real OS threads, real channel exchange — the
+//! shape of real MPI rank code) must agree with the BSP pipelines and
+//! the oracle.
 
 use dedukt::core::table::HostCountTable;
 use dedukt::core::verify::reference_counts;
@@ -9,10 +9,10 @@ use dedukt::core::{pipeline, Mode, RunConfig};
 use dedukt::dna::kmer::kmer_words;
 use dedukt::dna::{Dataset, DatasetId, ScalePreset};
 use dedukt::hash::{owner_rank_mult_shift, Murmur3x64};
-use dedukt::net::{Communicator, ThreadedWorld};
+use dedukt::net::ThreadedWorld;
 use std::collections::HashMap;
 
-/// Algorithm 1 written as rank code over the Communicator trait.
+/// Algorithm 1 written as rank code over the threaded oracle.
 fn threaded_count(reads: &dedukt::dna::ReadSet, nranks: usize, k: usize) -> HashMap<u64, u64> {
     let cfg = RunConfig::new(Mode::CpuBaseline, 1).counting;
     let parts = reads.partition_by_bases(nranks);
